@@ -6,7 +6,8 @@
 //! and a zero-latency SimNet (the deterministic harness all other
 //! experiments use). Every caller shares the same client space, so this is
 //! exactly the contended path the zero-copy/sharding work targets: one
-//! connection, one demux thread, one object table, one metrics registry.
+//! connection (its callers taking turns as reader), one object table, one
+//! metrics registry.
 //!
 //! Writes `BENCH_rpc_throughput.json` so the perf trajectory can be diffed
 //! across PRs. `--quick` shrinks the call counts for CI smoke runs.

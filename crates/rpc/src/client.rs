@@ -1,28 +1,48 @@
 //! The multiplexing call client.
 //!
 //! One [`CallClient`] wraps one connection to a remote space. Any number of
-//! threads may issue calls concurrently; a dedicated demux thread reads
-//! replies off the connection and completes the matching pending call.
-//! This reproduces the connection multiplexing of the original runtime,
-//! where many client threads shared the cached connection to a space.
+//! threads may issue calls concurrently, and there is no thread behind
+//! them: the callers read the connection themselves, leader/followers
+//! style. This reproduces the original runtime, where the calling thread
+//! waited for its result on the cached connection to a space.
 //!
-//! Result bytes are [`Bytes`] slices of the received reply frame: the demux
-//! thread hands the waiting caller a shared view of the transport's read
-//! buffer, so reply payloads reach unmarshaling without a copy.
+//! At any moment at most one waiting caller holds the *reader role* and
+//! blocks in the connection's receive until its own call's deadline. Its
+//! own reply returns straight to it. A reply for another call is filed in
+//! that call's pending slot and its owner, if parked, is woken; a reply
+//! nobody waits for any more (its call timed out) has its ack obligation
+//! discharged on the spot. A caller that finds the role taken parks on a
+//! channel in its slot. On leaving — with its reply, a timeout or an error
+//! — the reader hands the role to one parked caller; callers that have not
+//! parked yet pick it up on their own.
+//!
+//! With no resident reader, nothing watches an idle connection. So the
+//! caller that takes the role on a connection with nothing pending first
+//! drains it without blocking: a peer that closed it in the meantime is
+//! found *before* the request is written, and the call fails as cleanly
+//! *not delivered* (a transparent reconnect) instead of *ambiguous*.
+//!
+//! Deadlines run on the client's clock whatever the transport: under a
+//! virtual clock the reader polls the connection in short real-time steps
+//! ([`poll_deadline`]), exactly as a parked caller polls its channel.
+//!
+//! Result bytes are [`Bytes`] slices of the received reply frame: the
+//! caller gets a shared view of the transport's read buffer, so reply
+//! payloads reach unmarshaling without a copy.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use bytes::Bytes;
-use crossbeam::channel::{bounded, Sender};
-use netobj_transport::clock::recv_deadline;
-use netobj_transport::{ClockHandle, Conn};
+use crossbeam::channel::{bounded, Receiver, Sender};
+use netobj_transport::clock::{poll_deadline, recv_deadline};
+use netobj_transport::{ClockHandle, Conn, TransportError};
 use netobj_wire::{SpaceId, WireRep};
 use parking_lot::Mutex;
 
 use crate::error::RpcError;
-use crate::msg::{Request, RpcMsg, SendBuf};
+use crate::msg::{Reply, Request, RpcMsg, SendBuf};
 use crate::resilience::CallFailure;
 use crate::{FibHashMap, Result};
 
@@ -37,23 +57,42 @@ thread_local! {
 /// Default per-call deadline.
 pub const DEFAULT_CALL_TIMEOUT: Duration = Duration::from_secs(30);
 
-/// What the demux thread delivers to a waiting caller: the reply payload
-/// plus its ack flag, or a failure carrying whether the request was
-/// observed as *written* when the connection died (the teardown drain's
-/// classification input).
-type PendingResult = std::result::Result<(Bytes, bool), (RpcError, bool)>;
+/// How a call that reached the wire ended: the reply payload plus its ack
+/// flag, or the failure.
+type Outcome = std::result::Result<(Bytes, bool), RpcError>;
 
-struct PendingSlot {
-    tx: Sender<PendingResult>,
-    /// True once the request frame has been written to the connection.
-    /// The teardown drain reads it to separate *not delivered* (safe to
-    /// retry) from *ambiguous* (the callee may have executed the call).
-    sent: bool,
+fn outcome_of(reply: Reply) -> Outcome {
+    let needs_ack = reply.needs_ack;
+    reply
+        .outcome
+        .map(|bytes| (bytes, needs_ack))
+        .map_err(RpcError::Remote)
 }
 
-struct Shared {
-    pending: Mutex<FibHashMap<u64, PendingSlot>>,
-    closed: AtomicBool,
+/// What a parked caller is woken with.
+enum Wake {
+    /// The reader (or `close`) settled the call.
+    Done(Outcome),
+    /// The reader left and handed this caller the reader role.
+    Promoted,
+}
+
+/// A call awaiting its reply.
+enum Slot {
+    /// The owner is not parked: it holds the reader role, or has yet to
+    /// look for it.
+    Unparked,
+    /// The owner is parked on the receiving end of this channel.
+    Parked(Sender<Wake>),
+    /// Settled while the owner was unparked; the owner collects it.
+    Done(Outcome),
+}
+
+#[derive(Default)]
+struct Pending {
+    slots: FibHashMap<u64, Slot>,
+    /// True while some caller holds the reader role.
+    reader_active: bool,
 }
 
 /// Obligation to acknowledge a reply whose sender holds transient pins.
@@ -115,40 +154,29 @@ pub struct CallClient {
     caller: SpaceId,
     clock: ClockHandle,
     next_id: AtomicU64,
-    shared: Arc<Shared>,
-    demux: Mutex<Option<std::thread::JoinHandle<()>>>,
+    pending: Mutex<Pending>,
+    closed: AtomicBool,
 }
 
 impl CallClient {
     /// Wraps `conn`, identifying outgoing calls as coming from `caller`.
     ///
-    /// Spawns the demux thread immediately. Reply deadlines run on the
-    /// system clock; use [`CallClient::with_clock`] to time them on a
-    /// virtual clock instead.
+    /// Reply deadlines run on the system clock; use
+    /// [`CallClient::with_clock`] to time them on a virtual clock instead.
     pub fn new(conn: Arc<dyn Conn>, caller: SpaceId) -> Arc<CallClient> {
         CallClient::with_clock(conn, caller, ClockHandle::system())
     }
 
     /// Like [`CallClient::new`], but call timeouts are measured on `clock`.
     pub fn with_clock(conn: Arc<dyn Conn>, caller: SpaceId, clock: ClockHandle) -> Arc<CallClient> {
-        let shared = Arc::new(Shared {
-            pending: Mutex::new(FibHashMap::default()),
-            closed: AtomicBool::new(false),
-        });
-        let client = Arc::new(CallClient {
-            conn: Arc::clone(&conn),
+        Arc::new(CallClient {
+            conn,
             caller,
             clock,
             next_id: AtomicU64::new(1),
-            shared: Arc::clone(&shared),
-            demux: Mutex::new(None),
-        });
-        let handle = std::thread::Builder::new()
-            .name("rpc-demux".into())
-            .spawn(move || demux_loop(conn, shared))
-            .expect("spawn rpc demux");
-        *client.demux.lock() = Some(handle);
-        client
+            pending: Mutex::new(Pending::default()),
+            closed: AtomicBool::new(false),
+        })
     }
 
     /// The space identity stamped on outgoing requests.
@@ -221,7 +249,7 @@ impl CallClient {
         trace_id: u64,
         span_id: u64,
     ) -> std::result::Result<CallReply, CallFailure> {
-        if self.shared.closed.load(Ordering::Acquire) {
+        if self.is_closed() {
             return Err(CallFailure::classify(RpcError::Closed, false));
         }
         let call_id = self.next_id.fetch_add(1, Ordering::Relaxed);
@@ -235,27 +263,33 @@ impl CallClient {
             span_id,
         });
         let frame = REQ_BUF.with(|b| b.borrow_mut().encode(&msg));
-        let (tx, rx) = bounded(1);
-        // The slot is inserted already marked *sent*: the flag only feeds
-        // the teardown drain, and every path where the send below fails
-        // returns a locally-classified *not delivered* without consulting
-        // the drain's verdict — so marking optimistically never misreports,
-        // and the write path takes one pending-map lock instead of two.
-        self.shared
-            .pending
-            .lock()
-            .insert(call_id, PendingSlot { tx, sent: true });
-
-        if let Err(e) = self.conn.send(frame) {
-            // Nothing reached the peer: cleanly *not delivered*. The local
-            // send outcome overrides whatever a concurrent teardown drain
-            // observed from the optimistic flag.
-            self.shared.pending.lock().remove(&call_id);
-            return Err(CallFailure::classify(e.into(), false));
+        // The slot goes in before the request goes out, so whoever reads
+        // the reply finds it. A caller that finds the connection idle
+        // takes the reader role already here: nobody has been watching
+        // the connection, so it checks it before committing a request.
+        let reading = {
+            let mut pending = self.pending.lock();
+            let idle = !pending.reader_active && pending.slots.is_empty();
+            pending.reader_active |= idle;
+            pending.slots.insert(call_id, Slot::Unparked);
+            idle
+        };
+        let written = match reading.then(|| self.sweep()) {
+            // An idle connection that cannot be swept clean is dead.
+            Some(Err(_)) => {
+                self.close();
+                Err(RpcError::Closed)
+            }
+            _ => self.conn.send(frame).map_err(RpcError::from),
+        };
+        if let Err(e) = written {
+            // Nothing reached the peer: cleanly *not delivered*.
+            self.leave(call_id, reading);
+            return Err(CallFailure::classify(e, false));
         }
 
-        match recv_deadline(self.clock.as_dyn(), &rx, timeout) {
-            Ok(Ok((bytes, needs_ack))) => Ok(CallReply {
+        match self.await_reply(call_id, timeout, reading) {
+            Ok((bytes, needs_ack)) => Ok(CallReply {
                 bytes,
                 ack: needs_ack.then(|| AckToken {
                     conn: Arc::clone(&self.conn),
@@ -263,99 +297,234 @@ impl CallClient {
                     sent: false,
                 }),
             }),
-            // We are past a successful send, so the request was written no
-            // matter what the drain observed: classify with that fact.
-            Ok(Err((e, _sent_at_drain))) => Err(CallFailure::classify(e, true)),
-            Err(crossbeam::channel::RecvTimeoutError::Timeout) => {
-                self.shared.pending.lock().remove(&call_id);
-                Err(CallFailure::classify(RpcError::Timeout, true))
+            // We are past a successful send, so the request was written.
+            Err(e) => Err(CallFailure::classify(e, true)),
+        }
+    }
+
+    /// Waits for call `call_id` to be settled: as the reader when
+    /// `reading` (the role is already held) or when nobody else is, else
+    /// parked until the reader settles the call or hands the role over.
+    fn await_reply(&self, call_id: u64, timeout: Duration, reading: bool) -> Outcome {
+        let deadline = self.clock.now() + timeout;
+        let mut remaining = timeout;
+        if !reading {
+            let parked = {
+                let mut pending = self.pending.lock();
+                match pending.slots.remove(&call_id) {
+                    // A dying reader, or `close`, failed the call.
+                    None => return Err(RpcError::Closed),
+                    Some(Slot::Done(outcome)) => return outcome,
+                    Some(_) if pending.reader_active => {
+                        let (tx, rx) = bounded(1);
+                        pending.slots.insert(call_id, Slot::Parked(tx));
+                        Some(rx)
+                    }
+                    Some(_) => {
+                        pending.reader_active = true;
+                        pending.slots.insert(call_id, Slot::Unparked);
+                        None
+                    }
+                }
+            };
+            if let Some(rx) = parked {
+                match self.park(call_id, &rx, timeout) {
+                    Some(Wake::Done(outcome)) => return outcome,
+                    Some(Wake::Promoted) => {
+                        remaining = deadline.saturating_duration_since(self.clock.now());
+                    }
+                    None => return Err(RpcError::Timeout),
+                }
             }
-            Err(crossbeam::channel::RecvTimeoutError::Disconnected) => {
-                Err(CallFailure::classify(RpcError::Closed, true))
+        }
+        let outcome = self.read_until_settled(call_id, remaining, deadline);
+        self.leave(call_id, true);
+        outcome
+    }
+
+    /// Ends call `call_id`'s wait: drops its slot and, if the caller holds
+    /// the reader role, gives the role up — to a parked caller if there is
+    /// one (woken once the lock is dropped), else to whichever unparked
+    /// caller looks for it next.
+    fn leave(&self, call_id: u64, reading: bool) {
+        let successor = {
+            let mut pending = self.pending.lock();
+            pending.slots.remove(&call_id);
+            if !reading {
+                return;
+            }
+            let parked = pending
+                .slots
+                .values_mut()
+                .find(|slot| matches!(slot, Slot::Parked(_)));
+            match parked.map(|slot| std::mem::replace(slot, Slot::Unparked)) {
+                Some(Slot::Parked(tx)) => tx,
+                _ => {
+                    pending.reader_active = false;
+                    return;
+                }
+            }
+        };
+        let _ = successor.send(Wake::Promoted);
+    }
+
+    /// Parks on `rx` for at most `timeout`; `None` when it passed with the
+    /// call unsettled, in which case the call's slot is gone.
+    fn park(&self, call_id: u64, rx: &Receiver<Wake>, timeout: Duration) -> Option<Wake> {
+        if let Ok(wake) = recv_deadline(self.clock.as_dyn(), rx, timeout) {
+            return Some(wake);
+        }
+        {
+            let mut pending = self.pending.lock();
+            if let Some(Slot::Parked(_)) = pending.slots.get(&call_id) {
+                pending.slots.remove(&call_id);
+                return None;
+            }
+        }
+        // Whoever took the slot out of its parked state did so to wake
+        // this caller, and sends as soon as it has dropped the lock: a
+        // reply must not be lost to the timeout it raced, nor the role.
+        rx.recv().ok()
+    }
+
+    /// The reader role: receives replies until the one for `call_id`
+    /// arrives, the connection fails, or `deadline` passes. The first
+    /// receive takes `remaining` as given rather than recomputing it from
+    /// the clock: for a caller that never parked it is the call's own
+    /// timeout, the same from one call to the next, which lets a stream
+    /// transport leave its socket timeout alone.
+    fn read_until_settled(
+        &self,
+        call_id: u64,
+        mut remaining: Duration,
+        deadline: Instant,
+    ) -> Outcome {
+        while !remaining.is_zero() {
+            let received = poll_deadline(self.clock.as_dyn(), remaining, |step| {
+                match self.conn.recv_timeout(step) {
+                    Err(TransportError::Timeout) => None,
+                    done => Some(done),
+                }
+            });
+            let Some(received) = received else { break };
+            match received
+                .map_err(RpcError::from)
+                .and_then(|frame| reply_in(&frame))
+            {
+                Ok(Some(reply)) if reply.call_id == call_id => return outcome_of(reply),
+                Ok(Some(reply)) => self.route(reply),
+                Ok(None) => {}
+                // The connection failed, or a malformed frame poisoned
+                // it: drop it, so callers see a closed transport rather
+                // than silently missing replies.
+                Err(_) => {
+                    self.close();
+                    return Err(RpcError::Closed);
+                }
+            }
+            remaining = deadline.saturating_duration_since(self.clock.now());
+        }
+        Err(RpcError::Timeout)
+    }
+
+    /// Receives, without blocking, whatever sits unread on a connection
+    /// nobody is reading. An error means the connection is dead.
+    fn sweep(&self) -> Result<()> {
+        while let Some(frame) = self.conn.try_recv()? {
+            if let Some(reply) = reply_in(&frame)? {
+                self.route(reply);
+            }
+        }
+        Ok(())
+    }
+
+    /// Files a reply that the caller holding the reader role received on
+    /// behalf of another call, waking that call's owner if it is parked —
+    /// after dropping the lock, which the woken caller soon wants.
+    fn route(&self, reply: Reply) {
+        let call_id = reply.call_id;
+        let outcome = outcome_of(reply);
+        let parked = {
+            let mut pending = self.pending.lock();
+            match pending.slots.get_mut(&call_id) {
+                Some(slot @ Slot::Unparked) => {
+                    *slot = Slot::Done(outcome);
+                    return;
+                }
+                // A second reply to one call (a duplicating network): the
+                // first one stands.
+                Some(Slot::Done(_)) => return,
+                Some(Slot::Parked(_)) => pending.slots.remove(&call_id),
+                None => None,
+            }
+        };
+        match parked {
+            Some(Slot::Parked(tx)) => {
+                let _ = tx.send(Wake::Done(outcome));
+            }
+            // Late reply for a timed-out call: the caller will never
+            // process it, so discharge any ack obligation here lest the
+            // callee's transient pins wait out their full timeout.
+            _ => {
+                if let Ok((_, true)) = outcome {
+                    let _ = self.conn.send(RpcMsg::ReplyAck(call_id).encode());
+                }
             }
         }
     }
 
     /// True if the underlying connection has failed or been closed.
     pub fn is_closed(&self) -> bool {
-        self.shared.closed.load(Ordering::Acquire)
+        self.closed.load(Ordering::Acquire)
     }
 
     /// Closes the connection; outstanding calls fail.
     ///
-    /// By the time this returns the demux thread has exited, which
-    /// guarantees every pending-map entry has been drained with its
-    /// delivery classification — callers never hang on a dead connection.
+    /// By the time this returns every call still awaiting its reply has
+    /// been failed — callers never hang on a dead connection. Replies that
+    /// arrived with nobody reading are swept up first, so late ones still
+    /// get their acks.
     pub fn close(&self) {
-        self.shared.closed.store(true, Ordering::Release);
+        self.closed.store(true, Ordering::Release);
+        let sweeping = !std::mem::replace(&mut self.pending.lock().reader_active, true);
+        if sweeping {
+            let _ = self.sweep();
+        }
         self.conn.close();
-        if let Some(h) = self.demux.lock().take() {
-            let _ = h.join();
+        let mut pending = self.pending.lock();
+        // A parked owner is told; an unparked one finds its slot gone.
+        // Replies already filed stay for their owners to collect.
+        pending.slots.retain(|_, slot| {
+            if let Slot::Parked(tx) = slot {
+                let _ = tx.send(Wake::Done(Err(RpcError::Closed)));
+            }
+            matches!(slot, Slot::Done(_))
+        });
+        if sweeping {
+            pending.reader_active = false;
         }
     }
 }
 
-fn demux_loop(conn: Arc<dyn Conn>, shared: Arc<Shared>) {
-    while let Ok(frame) = conn.recv() {
-        let msg = match RpcMsg::decode(&frame) {
-            Ok(m) => m,
-            // A malformed frame poisons the connection: drop it so callers
-            // see a closed transport rather than silently missing replies.
-            Err(_) => break,
-        };
-        if let RpcMsg::Reply(reply) = msg {
-            let waiter = shared.pending.lock().remove(&reply.call_id);
-            match waiter {
-                Some(slot) => {
-                    let needs_ack = reply.needs_ack;
-                    let _ = slot.tx.send(
-                        reply
-                            .outcome
-                            .map(|bytes| (bytes, needs_ack))
-                            // A reply-borne error was definitely delivered.
-                            .map_err(|e| (RpcError::Remote(e), true)),
-                    );
-                }
-                // Late reply for a timed-out call: the caller will never
-                // process it, so discharge any ack obligation here lest the
-                // callee's transient pins wait out their full timeout.
-                None => {
-                    if reply.needs_ack {
-                        let _ = conn.send(RpcMsg::ReplyAck(reply.call_id).encode());
-                    }
-                }
-            }
-        }
-        // Requests arriving at a client end are ignored: connections are
-        // asymmetric (caller connects, callee serves), as in the original.
-    }
-    shared.closed.store(true, Ordering::Release);
-    conn.close();
-    // Teardown drain: fail every pending call before this thread exits,
-    // classifying each by whether its request frame was written. Unsent
-    // entries are *not delivered* (the reconnect path may retry them
-    // freely); sent entries are *ambiguous* (the callee may have executed
-    // the call, so only idempotent methods should retry).
-    let mut pending = shared.pending.lock();
-    for (_, slot) in pending.drain() {
-        let _ = slot.tx.send(Err((RpcError::Closed, slot.sent)));
-    }
+/// Decodes a received frame: `Some` for a reply. Requests arriving at a
+/// client end are ignored: connections are asymmetric (caller connects,
+/// callee serves), as in the original.
+fn reply_in(frame: &Bytes) -> Result<Option<Reply>> {
+    Ok(match RpcMsg::decode(frame)? {
+        RpcMsg::Reply(reply) => Some(reply),
+        _ => None,
+    })
 }
 
 impl Drop for CallClient {
     fn drop(&mut self) {
-        self.shared.closed.store(true, Ordering::Release);
-        self.conn.close();
-        if let Some(h) = self.demux.lock().take() {
-            let _ = h.join();
-        }
+        self.close();
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::msg::Reply;
     use crate::resilience::FailureClass;
     use netobj_transport::chan::ChanConn;
     use netobj_wire::ObjIx;
@@ -368,6 +537,40 @@ mod tests {
 
     fn target() -> WireRep {
         WireRep::new(SpaceId::from_raw(2), ObjIx(5))
+    }
+
+    fn next_request(server: &dyn Conn) -> Request {
+        let frame = server.recv().unwrap();
+        let RpcMsg::Request(rq) = RpcMsg::decode(&frame).unwrap() else {
+            panic!("expected request")
+        };
+        rq
+    }
+
+    fn send_reply(server: &dyn Conn, call_id: u64, bytes: Vec<u8>, needs_ack: bool) {
+        let reply = RpcMsg::Reply(Reply {
+            call_id,
+            outcome: Ok(Bytes::from(bytes)),
+            needs_ack,
+        });
+        server.send(reply.encode()).unwrap();
+    }
+
+    /// Spins (in real time) until the pending map satisfies `cond`.
+    fn await_pending(client: &CallClient, what: &str, cond: impl Fn(&Pending) -> bool) {
+        let t0 = Instant::now();
+        while !cond(&client.pending.lock()) {
+            assert!(t0.elapsed() < Duration::from_secs(10), "never saw: {what}");
+            std::thread::yield_now();
+        }
+    }
+
+    fn parked(pending: &Pending) -> usize {
+        pending
+            .slots
+            .values()
+            .filter(|s| matches!(s, Slot::Parked(_)))
+            .count()
     }
 
     /// A minimal hand-rolled server loop answering every request with its
@@ -419,18 +622,17 @@ mod tests {
         let (client, _server) = wired_client();
         let got = client.call_with_timeout(target(), 0, vec![], Duration::from_millis(50));
         assert_eq!(got.unwrap_err(), RpcError::Timeout);
-        // The pending slot is cleaned up.
-        assert!(client.shared.pending.lock().is_empty());
+        // The pending slot is cleaned up and the reader role given back.
+        let pending = client.pending.lock();
+        assert!(pending.slots.is_empty());
+        assert!(!pending.reader_active);
     }
 
     #[test]
     fn remote_error_propagates() {
         let (client, server) = wired_client();
         std::thread::spawn(move || {
-            let frame = server.recv().unwrap();
-            let RpcMsg::Request(rq) = RpcMsg::decode(&frame).unwrap() else {
-                panic!("expected request")
-            };
+            let rq = next_request(&*server);
             let reply = RpcMsg::Reply(Reply {
                 call_id: rq.call_id,
                 outcome: Err(crate::RemoteError::app("kaboom")),
@@ -444,95 +646,182 @@ mod tests {
         }
     }
 
+    /// The reader's own reply arrives while three followers are parked:
+    /// exactly one of them is promoted to reader, and all calls complete.
+    #[test]
+    fn leaving_reader_promotes_one_parked_follower() {
+        let (client, server) = wired_client();
+        let call = |arg: u8| {
+            let c = Arc::clone(&client);
+            std::thread::spawn(move || c.call(target(), 0, vec![arg]))
+        };
+        let reader = call(0);
+        let first = next_request(&*server);
+        let followers: Vec<_> = (1..=3).map(call).collect();
+        let rest: Vec<Request> = (0..3).map(|_| next_request(&*server)).collect();
+        await_pending(&client, "three parked followers", |p| parked(p) == 3);
+
+        send_reply(&*server, first.call_id, vec![0], false);
+        assert_eq!(reader.join().unwrap().unwrap(), vec![0]);
+        {
+            let pending = client.pending.lock();
+            assert!(pending.reader_active, "the role was handed on, not dropped");
+            assert_eq!(parked(&pending), 2);
+            assert_eq!(pending.slots.len(), 3);
+        }
+        for rq in rest {
+            send_reply(&*server, rq.call_id, rq.args.to_vec(), false);
+        }
+        let mut got: Vec<u8> = followers
+            .into_iter()
+            .map(|h| h.join().unwrap().unwrap()[0])
+            .collect();
+        got.sort_unstable();
+        assert_eq!(got, vec![1, 2, 3]);
+        let pending = client.pending.lock();
+        assert!(pending.slots.is_empty());
+        assert!(!pending.reader_active);
+    }
+
+    /// The reader's deadline passes while followers wait: it reports an
+    /// ambiguous timeout, a follower takes the role over, nobody hangs.
+    #[test]
+    fn reader_timeout_hands_role_to_a_follower() {
+        let (client, server) = wired_client();
+        let c = Arc::clone(&client);
+        let reader = std::thread::spawn(move || {
+            c.call_raw_classified(target(), 0, vec![0], Duration::from_millis(100))
+        });
+        let _unanswered = next_request(&*server);
+        let followers: Vec<_> = (1..=2u8)
+            .map(|i| {
+                let c = Arc::clone(&client);
+                std::thread::spawn(move || c.call(target(), 0, vec![i]))
+            })
+            .collect();
+        let rest: Vec<Request> = (0..2).map(|_| next_request(&*server)).collect();
+        await_pending(&client, "two parked followers", |p| parked(p) == 2);
+
+        let failure = reader.join().unwrap().unwrap_err();
+        assert_eq!(failure.error, RpcError::Timeout);
+        assert_eq!(failure.class, FailureClass::Ambiguous);
+        // Only now do the followers' replies arrive: whoever took the role
+        // over must be reading for both.
+        for rq in rest {
+            send_reply(&*server, rq.call_id, rq.args.to_vec(), false);
+        }
+        let mut got: Vec<u8> = followers
+            .into_iter()
+            .map(|h| h.join().unwrap().unwrap()[0])
+            .collect();
+        got.sort_unstable();
+        assert_eq!(got, vec![1, 2]);
+    }
+
+    /// A reader waits on the connection in virtual time, like a parked
+    /// caller on its channel: 30 s of silence cost well under a second.
+    #[test]
+    fn reader_times_out_in_virtual_time() {
+        let (a, _server) = ChanConn::pair(None, None);
+        let clock = ClockHandle::virtual_clock();
+        let client = CallClient::with_clock(Arc::new(a), SpaceId::from_raw(1), clock.clone());
+        let t0 = Instant::now();
+        let got = client.call_with_timeout(target(), 0, vec![], Duration::from_secs(30));
+        assert_eq!(got.unwrap_err(), RpcError::Timeout);
+        assert!(t0.elapsed() < Duration::from_secs(1), "virtual, not real");
+        assert!(clock.as_virtual().unwrap().elapsed() >= Duration::from_secs(30));
+    }
+
     #[test]
     fn connection_loss_fails_pending_calls() {
         let (client, server) = wired_client();
         let c = Arc::clone(&client);
-        let h = std::thread::spawn(move || c.call(target(), 0, vec![]));
-        std::thread::sleep(Duration::from_millis(30));
+        let reader = std::thread::spawn(move || c.call(target(), 0, vec![0]));
+        let _ = next_request(&*server);
+        let c = Arc::clone(&client);
+        let follower = std::thread::spawn(move || c.call(target(), 0, vec![1]));
+        await_pending(&client, "a parked follower", |p| parked(p) == 1);
+        // The reader finds the connection dead and fails the follower too.
         server.close();
-        let got = h.join().unwrap();
-        assert!(matches!(
-            got,
-            Err(RpcError::Closed) | Err(RpcError::Transport(_))
-        ));
+        assert_eq!(reader.join().unwrap().unwrap_err(), RpcError::Closed);
+        assert_eq!(follower.join().unwrap().unwrap_err(), RpcError::Closed);
         assert!(client.is_closed());
     }
 
     /// The teardown regression for the reconnect path: a call that was
     /// *written* when the connection died must come back `Ambiguous`
-    /// (never `NotDelivered` — the callee may have executed it), and the
-    /// pending map must be fully drained by the time `close` returns, so
-    /// a reconnecting caller cannot leak or double-complete slots.
+    /// (never `NotDelivered` — the callee may have executed it), whether
+    /// the reader finds the connection dead or `close` fails the call; and
+    /// the pending map must be empty once `close` has returned and the
+    /// callers have, so a reconnecting caller cannot leak slots.
     #[test]
-    fn teardown_classifies_inflight_call_ambiguous_and_drains_map() {
+    fn teardown_classifies_inflight_calls_ambiguous_and_drains_map() {
         let (client, server) = wired_client();
-        let c = Arc::clone(&client);
-        let h = std::thread::spawn(move || {
-            c.call_raw_classified(target(), 0, vec![1], Duration::from_secs(5))
-        });
-        // Let the request go out, then kill the connection under it.
-        std::thread::sleep(Duration::from_millis(50));
-        server.close();
-        let failure = h.join().unwrap().unwrap_err();
+        let call = || {
+            let c = Arc::clone(&client);
+            std::thread::spawn(move || {
+                c.call_raw_classified(target(), 0, vec![1], Duration::from_secs(5))
+            })
+        };
+        let reader = call();
+        let _ = next_request(&*server);
+        let follower = call();
+        await_pending(&client, "a parked follower", |p| parked(p) == 1);
+        client.close();
         assert_eq!(
-            failure.class,
-            FailureClass::Ambiguous,
-            "an in-flight call must not look safely retryable"
+            parked(&client.pending.lock()),
+            0,
+            "close fails parked calls"
         );
-        client.close(); // joins the demux thread
-        assert!(client.shared.pending.lock().is_empty());
-    }
-
-    /// White-box check of the teardown drain: an entry whose request was
-    /// never written drains as *not delivered*; a written one drains as
-    /// *ambiguous*.
-    #[test]
-    fn drain_classifies_by_sent_flag() {
-        let (client, server) = wired_client();
-        let (unsent_tx, unsent_rx) = bounded(1);
-        let (sent_tx, sent_rx) = bounded(1);
-        {
-            let mut pending = client.shared.pending.lock();
-            pending.insert(
-                901,
-                PendingSlot {
-                    tx: unsent_tx,
-                    sent: false,
-                },
-            );
-            pending.insert(
-                902,
-                PendingSlot {
-                    tx: sent_tx,
-                    sent: true,
-                },
+        for h in [reader, follower] {
+            let failure = h.join().unwrap().unwrap_err();
+            assert_eq!(failure.error, RpcError::Closed);
+            assert_eq!(
+                failure.class,
+                FailureClass::Ambiguous,
+                "an in-flight call must not look safely retryable"
             );
         }
-        server.close();
-        client.close(); // demux has drained by the time this returns
-        let (e, sent) = unsent_rx.try_recv().unwrap().unwrap_err();
-        assert_eq!(
-            CallFailure::classify(e, sent).class,
-            FailureClass::NotDelivered
-        );
-        let (e, sent) = sent_rx.try_recv().unwrap().unwrap_err();
-        assert_eq!(
-            CallFailure::classify(e, sent).class,
-            FailureClass::Ambiguous
-        );
+        let pending = client.pending.lock();
+        assert!(pending.slots.is_empty());
+        assert!(!pending.reader_active);
     }
 
+    /// A malformed frame found while checking an idle connection closes it
+    /// before the request is written.
     #[test]
-    fn malformed_reply_closes_connection() {
+    fn malformed_frame_on_idle_connection_fails_next_call_undelivered() {
         let (client, server) = wired_client();
         server.send(Bytes::from(vec![0xff, 0xff, 0xff])).unwrap();
-        std::thread::sleep(Duration::from_millis(100));
+        let failure = client
+            .call_raw_classified(target(), 0, vec![], Duration::from_secs(5))
+            .unwrap_err();
+        assert_eq!(failure.error, RpcError::Closed);
+        assert_eq!(failure.class, FailureClass::NotDelivered);
         assert!(client.is_closed());
+        // Queued frames are delivered ahead of the close: none was written.
+        assert_eq!(server.try_recv().unwrap_err(), TransportError::Closed);
         assert_eq!(
             client.call(target(), 0, vec![]).unwrap_err(),
             RpcError::Closed
         );
+    }
+
+    /// A malformed frame in place of a reply poisons the connection under
+    /// the waiting call.
+    #[test]
+    fn malformed_reply_closes_connection() {
+        let (client, server) = wired_client();
+        let c = Arc::clone(&client);
+        let h = std::thread::spawn(move || {
+            c.call_raw_classified(target(), 0, vec![], Duration::from_secs(5))
+        });
+        let _ = next_request(&*server);
+        server.send(Bytes::from(vec![0xff, 0xff, 0xff])).unwrap();
+        let failure = h.join().unwrap().unwrap_err();
+        assert_eq!(failure.error, RpcError::Closed);
+        assert_eq!(failure.class, FailureClass::Ambiguous);
+        assert!(client.is_closed());
     }
 
     /// A server answering one request with `needs_ack` set, then counting
@@ -598,29 +887,43 @@ mod tests {
         assert_eq!(acks.load(Ordering::SeqCst), 1);
     }
 
-    #[test]
-    fn late_reply_after_timeout_is_acked_by_demux() {
+    /// Times a call out, then delivers its reply late with an ack
+    /// obligation that only the client can now discharge.
+    fn late_reply_needing_ack() -> (Arc<CallClient>, Box<dyn Conn>, u64) {
         let (client, server) = wired_client();
-        // First call times out (no server running yet)...
         let got = client.call_with_timeout(target(), 0, vec![], Duration::from_millis(50));
         assert_eq!(got.unwrap_err(), RpcError::Timeout);
-        // ...then the reply arrives late, with an ack obligation. The demux
-        // thread must discharge it: nobody else will.
-        let frame = server.recv().unwrap();
-        let RpcMsg::Request(rq) = RpcMsg::decode(&frame).unwrap() else {
-            panic!("expected request");
-        };
-        let reply = RpcMsg::Reply(Reply {
-            call_id: rq.call_id,
-            outcome: Ok(Bytes::new()),
-            needs_ack: true,
-        });
-        server.send(reply.encode()).unwrap();
+        let late = next_request(&*server).call_id;
+        send_reply(&*server, late, vec![], true);
+        (client, server, late)
+    }
+
+    fn expect_ack(server: &dyn Conn, call_id: u64) {
         let frame = server.recv().unwrap();
         assert!(matches!(
             RpcMsg::decode(&frame).unwrap(),
-            RpcMsg::ReplyAck(id) if id == rq.call_id
+            RpcMsg::ReplyAck(id) if id == call_id
         ));
+    }
+
+    #[test]
+    fn late_reply_after_timeout_is_acked_by_next_reader() {
+        let (client, server, late) = late_reply_needing_ack();
+        // Nobody reads an idle connection, so the late reply sits there
+        // until the next call sweeps it up — ahead of its own request.
+        let c = Arc::clone(&client);
+        let h = std::thread::spawn(move || c.call(target(), 0, vec![7]));
+        expect_ack(&*server, late);
+        let rq = next_request(&*server);
+        send_reply(&*server, rq.call_id, vec![7], false);
+        assert_eq!(h.join().unwrap().unwrap(), vec![7]);
+    }
+
+    #[test]
+    fn late_reply_after_timeout_is_acked_at_close() {
+        let (client, server, late) = late_reply_needing_ack();
+        client.close();
+        expect_ack(&*server, late);
     }
 
     #[test]
@@ -633,15 +936,17 @@ mod tests {
         assert_eq!(err.class, FailureClass::Ambiguous);
     }
 
+    /// A peer that closed the idle connection is found before the request
+    /// is written, so the failure is safely retryable.
     #[test]
-    fn classified_send_failure_is_not_delivered() {
+    fn classified_idle_connection_loss_is_not_delivered() {
         let (client, server) = wired_client();
         server.close();
-        std::thread::sleep(Duration::from_millis(100));
         let err = client
             .call_raw_classified(target(), 0, vec![], Duration::from_millis(200))
             .unwrap_err();
         assert_eq!(err.class, FailureClass::NotDelivered);
+        assert!(client.is_closed());
     }
 
     #[test]

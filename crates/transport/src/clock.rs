@@ -119,21 +119,37 @@ impl std::fmt::Debug for ClockHandle {
     }
 }
 
-/// Receives from `rx` with a timeout measured on `clock`.
+/// Waits on `poll` for at most `timeout` of `clock`'s time.
 ///
-/// Under a [`SystemClock`] this is exactly `rx.recv_timeout(timeout)`.
-/// Under a [`VirtualClock`] the caller registers as a sleeper so that
-/// auto-advance can jump to its deadline, while still waking immediately
-/// when a message arrives.
+/// `poll(step)` blocks for at most `step` of *real* time and returns `None`
+/// when nothing became ready. Under a [`SystemClock`] it is called exactly
+/// once, with the whole `timeout`. Under a [`VirtualClock`] the caller
+/// registers as a sleeper and `poll` is called in short real-time steps, so
+/// auto-advance can jump to the deadline while a result that becomes ready
+/// is still picked up at once. `None` means the deadline passed.
+pub fn poll_deadline<T>(
+    clock: &dyn Clock,
+    timeout: Duration,
+    mut poll: impl FnMut(Duration) -> Option<T>,
+) -> Option<T> {
+    match clock.as_virtual() {
+        None => poll(timeout),
+        Some(vc) => vc.poll_deadline(timeout, poll),
+    }
+}
+
+/// Receives from `rx` with a timeout measured on `clock`
+/// ([`poll_deadline`] over a channel).
 pub fn recv_deadline<T>(
     clock: &dyn Clock,
     rx: &Receiver<T>,
     timeout: Duration,
 ) -> Result<T, RecvTimeoutError> {
-    match clock.as_virtual() {
-        None => rx.recv_timeout(timeout),
-        Some(vc) => vc.recv_deadline(rx, timeout),
-    }
+    poll_deadline(clock, timeout, |step| match rx.recv_timeout(step) {
+        Err(RecvTimeoutError::Timeout) => None,
+        done => Some(done),
+    })
+    .unwrap_or(Err(RecvTimeoutError::Timeout))
 }
 
 /// How long the system must be quiet (in real time) before virtual time
@@ -177,7 +193,7 @@ thread_local! {
 /// out just because the work is invisible to the clock.
 ///
 /// Holds are owned by the creating thread: if that thread itself blocks on
-/// the virtual clock ([`Clock::sleep`] or [`VirtualClock::recv_deadline`]),
+/// the virtual clock ([`Clock::sleep`] or [`VirtualClock::poll_deadline`]),
 /// its holds are suspended for the duration of the wait — it is no longer
 /// doing real work, it is waiting for time to pass, and freezing the clock
 /// it waits on would deadlock. Create and drop a hold on the same thread.
@@ -334,26 +350,23 @@ impl VirtualClock {
         epoch + inner.offset
     }
 
-    /// Virtual-clock-aware channel receive; see [`recv_deadline`].
-    pub fn recv_deadline<T>(
+    /// Virtual-clock-aware bounded wait; see [`poll_deadline`].
+    pub fn poll_deadline<T>(
         &self,
-        rx: &Receiver<T>,
         timeout: Duration,
-    ) -> Result<T, RecvTimeoutError> {
+        mut poll: impl FnMut(Duration) -> Option<T>,
+    ) -> Option<T> {
         let _suspend = HoldSuspension::begin(self);
         let deadline = self.now() + timeout;
         let token = self.register_deadline(deadline);
         let result = loop {
-            match rx.recv_timeout(GRACE) {
-                Ok(v) => break Ok(v),
-                Err(RecvTimeoutError::Disconnected) => break Err(RecvTimeoutError::Disconnected),
-                Err(RecvTimeoutError::Timeout) => {
-                    if self.now() >= deadline {
-                        break Err(RecvTimeoutError::Timeout);
-                    }
-                    self.maybe_auto_advance();
-                }
+            if let Some(v) = poll(GRACE) {
+                break Some(v);
             }
+            if self.now() >= deadline {
+                break None;
+            }
+            self.maybe_auto_advance();
         };
         self.deregister(token);
         result
@@ -466,7 +479,7 @@ mod tests {
         let (_tx, rx) = crossbeam::channel::unbounded::<u8>();
         let c = VirtualClock::new();
         let t0 = Instant::now();
-        let got = c.recv_deadline(&rx, Duration::from_secs(2));
+        let got = recv_deadline(&c, &rx, Duration::from_secs(2));
         assert!(matches!(got, Err(RecvTimeoutError::Timeout)));
         assert!(c.elapsed() >= Duration::from_secs(2));
         assert!(t0.elapsed() < Duration::from_secs(1), "virtual, not real");
@@ -481,12 +494,46 @@ mod tests {
         let hold = c.hold();
         let h = {
             let c = Arc::clone(&c);
-            std::thread::spawn(move || c.recv_deadline(&rx, Duration::from_secs(60)))
+            std::thread::spawn(move || recv_deadline(&*c, &rx, Duration::from_secs(60)))
         };
         std::thread::sleep(Duration::from_millis(5));
         tx.send(7).unwrap();
         drop(hold);
         assert_eq!(h.join().unwrap().unwrap(), 7);
+    }
+
+    #[test]
+    fn poll_deadline_polls_anything_in_short_steps() {
+        // Not a channel: a flag another thread sets. The waiter must see it
+        // long before its (virtual) hour is up, and without time jumping
+        // there while the setter still holds the clock.
+        let c = Arc::new(VirtualClock::new());
+        let flag = Arc::new(AtomicBool::new(false));
+        let hold = c.hold();
+        let h = {
+            let (c, flag) = (Arc::clone(&c), Arc::clone(&flag));
+            std::thread::spawn(move || {
+                poll_deadline(&*c, Duration::from_secs(3600), |step| {
+                    assert!(step <= GRACE);
+                    std::thread::sleep(step);
+                    flag.load(Ordering::SeqCst).then_some("set")
+                })
+            })
+        };
+        std::thread::sleep(Duration::from_millis(5));
+        flag.store(true, Ordering::SeqCst);
+        drop(hold);
+        assert_eq!(h.join().unwrap(), Some("set"));
+        assert!(c.elapsed() < Duration::from_secs(3600));
+        // Never set: the deadline passes, virtually.
+        let t0 = Instant::now();
+        let got: Option<()> = poll_deadline(&*c, Duration::from_secs(3600), |step| {
+            std::thread::sleep(step);
+            None
+        });
+        assert_eq!(got, None);
+        assert!(c.elapsed() >= Duration::from_secs(3600));
+        assert!(t0.elapsed() < Duration::from_secs(1), "virtual, not real");
     }
 
     #[test]

@@ -51,7 +51,7 @@ pub type Result<T> = std::result::Result<T, TransportError>;
 ///
 /// Frames are discrete byte payloads; the transport preserves their
 /// boundaries. All methods take `&self` so a connection can be shared
-/// between a sender and a dedicated receiver thread.
+/// between senders and whichever thread is currently receiving.
 ///
 /// Frames travel as shared [`Bytes`]: in-process transports enqueue the
 /// caller's buffer by reference, and stream transports write the length
@@ -67,6 +67,18 @@ pub trait Conn: Send + Sync {
 
     /// Receives the next frame, waiting at most `timeout`.
     fn recv_timeout(&self, timeout: Duration) -> Result<Bytes>;
+
+    /// Receives a frame that has already arrived, without blocking:
+    /// `Ok(None)` when none has. An error means the connection is dead —
+    /// which is how a caller finds out, before committing a request to an
+    /// idle connection, that the peer closed it in the meantime.
+    fn try_recv(&self) -> Result<Option<Bytes>> {
+        match self.recv_timeout(Duration::ZERO) {
+            Ok(frame) => Ok(Some(frame)),
+            Err(TransportError::Timeout) => Ok(None),
+            Err(e) => Err(e),
+        }
+    }
 
     /// Closes the connection; pending and future operations fail with
     /// [`TransportError::Closed`].

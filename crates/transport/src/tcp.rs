@@ -55,9 +55,42 @@ struct Outbound {
     bytes: usize,
 }
 
+/// The receiving side of a blocking-mode connection.
+struct ReadHalf {
+    stream: TcpStream,
+    decoder: FrameDecoder,
+    /// The socket's current `SO_RCVTIMEO` (a fresh socket has none), so a
+    /// receive with the same timeout as the last one costs no `setsockopt`.
+    timeout: Option<Duration>,
+}
+
+impl ReadHalf {
+    /// Takes the next frame out of the decoder, feeding it from the socket
+    /// through `read` (into `chunk`) for as long as it needs more bytes. A
+    /// `read` that finds nothing in time fails with
+    /// [`TransportError::Timeout`].
+    fn next_frame(
+        &mut self,
+        chunk: &mut [u8],
+        mut read: impl FnMut(&mut TcpStream, &mut [u8]) -> io::Result<usize>,
+    ) -> Result<Bytes> {
+        loop {
+            if let Some(frame) = self.decoder.next_frame()? {
+                return Ok(frame);
+            }
+            match read(&mut self.stream, chunk) {
+                Ok(0) => return Err(TransportError::Closed),
+                Ok(n) => self.decoder.extend(&chunk[..n]),
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                Err(e) => return Err(e.into()),
+            }
+        }
+    }
+}
+
 struct TcpConn {
     writer: Mutex<TcpStream>,
-    reader: Mutex<(TcpStream, FrameDecoder)>,
+    reader: Mutex<ReadHalf>,
     closed: AtomicBool,
     peer: Option<Endpoint>,
     /// True once `enter_reactor_mode` ran; flips `send`/`recv` behaviour.
@@ -72,7 +105,11 @@ impl TcpConn {
         let reader = stream.try_clone()?;
         Ok(TcpConn {
             writer: Mutex::new(stream),
-            reader: Mutex::new((reader, FrameDecoder::default())),
+            reader: Mutex::new(ReadHalf {
+                stream: reader,
+                decoder: FrameDecoder::default(),
+                timeout: None,
+            }),
             closed: AtomicBool::new(false),
             peer,
             reactor_mode: AtomicBool::new(false),
@@ -81,7 +118,9 @@ impl TcpConn {
         })
     }
 
-    fn recv_inner(&self, timeout: Option<Duration>) -> Result<Bytes> {
+    /// Fails unless this connection is open and its receiving side belongs
+    /// to the caller rather than to a reactor.
+    fn check_receivable(&self) -> Result<()> {
         if self.closed.load(Ordering::Acquire) {
             return Err(TransportError::Closed);
         }
@@ -92,20 +131,17 @@ impl TcpConn {
                 "connection is reactor-managed; recv is unavailable".into(),
             ));
         }
-        let mut guard = self.reader.lock();
-        let (stream, decoder) = &mut *guard;
-        stream.set_read_timeout(timeout)?;
-        let mut chunk = [0u8; 16 * 1024];
-        loop {
-            if let Some(frame) = decoder.next_frame()? {
-                return Ok(frame);
-            }
-            match stream.read(&mut chunk) {
-                Ok(0) => return Err(TransportError::Closed),
-                Ok(n) => decoder.extend(&chunk[..n]),
-                Err(e) => return Err(e.into()),
-            }
+        Ok(())
+    }
+
+    fn recv_inner(&self, timeout: Option<Duration>) -> Result<Bytes> {
+        self.check_receivable()?;
+        let mut half = self.reader.lock();
+        if half.timeout != timeout {
+            half.stream.set_read_timeout(timeout)?;
+            half.timeout = timeout;
         }
+        half.next_frame(&mut [0u8; 16 * 1024], |stream, buf| stream.read(buf))
     }
 
     /// Reactor-mode `send`: queue the frame and, on an empty→non-empty
@@ -133,6 +169,27 @@ impl TcpConn {
         }
         Ok(())
     }
+}
+
+/// One non-blocking read of a blocking-mode socket; nothing there is
+/// `ErrorKind::WouldBlock`. Where the platform has no such read that is
+/// the answer every time, and a dead idle connection is found by the next
+/// blocking read instead.
+fn recv_nonblocking(stream: &mut TcpStream, buf: &mut [u8]) -> io::Result<usize> {
+    #[cfg(unix)]
+    let got = {
+        use std::os::fd::AsFd;
+        polling::recv_nonblocking(stream.as_fd(), buf)
+    };
+    #[cfg(not(unix))]
+    let got: io::Result<usize> = {
+        let _ = (stream, buf);
+        Err(io::ErrorKind::Unsupported.into())
+    };
+    got.map_err(|e| match e.kind() {
+        io::ErrorKind::Unsupported => io::ErrorKind::WouldBlock.into(),
+        _ => e,
+    })
 }
 
 impl Conn for TcpConn {
@@ -172,6 +229,21 @@ impl Conn for TcpConn {
 
     fn recv_timeout(&self, timeout: Duration) -> Result<Bytes> {
         self.recv_inner(Some(timeout))
+    }
+
+    fn try_recv(&self) -> Result<Option<Bytes>> {
+        self.check_receivable()?;
+        // A small chunk: the usual answer is "nothing there", and a stale
+        // frame larger than this just takes more turns of the loop.
+        let got = self
+            .reader
+            .lock()
+            .next_frame(&mut [0u8; 512], recv_nonblocking);
+        match got {
+            Ok(frame) => Ok(Some(frame)),
+            Err(TransportError::Timeout) => Ok(None),
+            Err(e) => Err(e),
+        }
     }
 
     fn close(&self) {
@@ -226,7 +298,9 @@ impl Pollable for TcpConn {
             return Ok(ReadDrive::Closed);
         }
         let mut guard = self.reader.lock();
-        let (stream, decoder) = &mut *guard;
+        let ReadHalf {
+            stream, decoder, ..
+        } = &mut *guard;
         let mut chunk = [0u8; 16 * 1024];
         for _ in 0..MAX_READ_CHUNKS_PER_VISIT {
             match stream.read(&mut chunk) {
@@ -478,6 +552,60 @@ mod tests {
         assert_eq!(
             s.recv_timeout(Duration::from_millis(50)).unwrap_err(),
             TransportError::Timeout
+        );
+    }
+
+    /// The socket timeout is only re-armed when it changes; repeating one
+    /// and changing it must both still be honoured.
+    #[test]
+    fn recv_timeout_repeated_then_changed() {
+        let (c, s) = tcp_pair();
+        let timed = |timeout_ms| {
+            let timeout = Duration::from_millis(timeout_ms);
+            let t0 = std::time::Instant::now();
+            assert_eq!(
+                s.recv_timeout(timeout).unwrap_err(),
+                TransportError::Timeout
+            );
+            assert!(t0.elapsed() >= timeout);
+            t0.elapsed()
+        };
+        timed(150);
+        timed(150);
+        assert!(
+            timed(10) < Duration::from_millis(150),
+            "stale socket timeout"
+        );
+        c.send(Bytes::from(b"late".to_vec())).unwrap();
+        assert_eq!(&s.recv().unwrap()[..], b"late");
+    }
+
+    fn try_recv_within_a_second(conn: &dyn Conn) -> Result<Bytes> {
+        let t0 = std::time::Instant::now();
+        loop {
+            match conn.try_recv() {
+                Ok(None) => assert!(t0.elapsed() < Duration::from_secs(1), "nothing arrived"),
+                Ok(Some(frame)) => return Ok(frame),
+                Err(e) => return Err(e),
+            }
+        }
+    }
+
+    #[test]
+    fn try_recv_reports_nothing_then_frames_then_close() {
+        let (c, s) = tcp_pair();
+        assert_eq!(s.try_recv().unwrap(), None);
+        // Larger than one non-blocking read, so the frame takes several.
+        let big = vec![7u8; 2000];
+        c.send(Bytes::from(big.clone())).unwrap();
+        c.send(Bytes::from(b"second".to_vec())).unwrap();
+        assert_eq!(try_recv_within_a_second(&*s).unwrap(), big);
+        assert_eq!(&try_recv_within_a_second(&*s).unwrap()[..], b"second");
+        assert_eq!(s.try_recv().unwrap(), None);
+        c.close();
+        assert_eq!(
+            try_recv_within_a_second(&*s).unwrap_err(),
+            TransportError::Closed
         );
     }
 

@@ -253,3 +253,81 @@ fn stats_are_consistent_across_spaces() {
     assert!(cs.calls_sent >= 50, "at least the 50 puts");
     assert_eq!(cs.surrogates_created, 1);
 }
+
+/// A TCP forwarder in front of one address, so that a test can cut the
+/// connections through it the way a peer (or a middlebox) closing an idle
+/// connection does: each side just sees the other end go away.
+struct Forwarder {
+    addr: std::net::SocketAddr,
+    sockets: Arc<Mutex<Vec<std::net::TcpStream>>>,
+}
+
+impl Forwarder {
+    fn to(upstream: std::net::SocketAddr) -> Forwarder {
+        use std::net::{Shutdown, TcpListener, TcpStream};
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let sockets = Arc::new(Mutex::new(Vec::new()));
+        let kept = Arc::clone(&sockets);
+        // Detached: the accept loop and the copiers live as long as the
+        // test process, like the other hand-rolled peers in these tests.
+        std::thread::spawn(move || {
+            for down in listener.incoming() {
+                let down = down.unwrap();
+                let up = TcpStream::connect(upstream).unwrap();
+                for (from, to) in [(&down, &up), (&up, &down)] {
+                    let (mut from, mut to) = (from.try_clone().unwrap(), to.try_clone().unwrap());
+                    std::thread::spawn(move || {
+                        let _ = std::io::copy(&mut from, &mut to);
+                        let _ = to.shutdown(Shutdown::Both);
+                    });
+                }
+                kept.lock().extend([down, up]);
+            }
+        });
+        Forwarder { addr, sockets }
+    }
+
+    fn cut(&self) {
+        for s in self.sockets.lock().drain(..) {
+            let _ = s.shutdown(std::net::Shutdown::Both);
+        }
+    }
+}
+
+/// Nobody watches an idle connection, so its death is found by the next
+/// call — before that call's request is written, which is what makes the
+/// reconnect transparent even for a method that must not run twice.
+#[test]
+fn idle_tcp_connection_closed_by_peer_reconnects_transparently() {
+    let tcp_space = || {
+        Space::builder()
+            .transport(Arc::new(Tcp))
+            .listen(Endpoint::tcp("127.0.0.1:0"))
+            .options(Options::fast())
+            .build()
+            .unwrap()
+    };
+    let owner = tcp_space();
+    let store_impl = Arc::new(StoreImpl {
+        data: Mutex::new(Default::default()),
+    });
+    owner
+        .export(Arc::new(StoreExport(Arc::clone(&store_impl))))
+        .unwrap();
+    let forwarder = Forwarder::to(owner.endpoint().unwrap().addr().parse().unwrap());
+
+    let client = tcp_space();
+    let via = Endpoint::tcp(forwarder.addr.to_string());
+    let store = StoreClient::narrow(client.import_root(&via, ObjIx::FIRST_USER).unwrap()).unwrap();
+    store.put("before".into(), 1).unwrap();
+    assert_eq!(client.stats().reconnects, 0);
+
+    forwarder.cut();
+    // `put` is not idempotent: had the request gone out on the dead
+    // connection, its failure would be ambiguous and surface here.
+    store.put("after".into(), 2).unwrap();
+    assert_eq!(client.stats().reconnects, 1);
+    assert_eq!(client.stats().retries_attempted, 1);
+    assert_eq!(store_impl.data.lock().len(), 2, "each put ran exactly once");
+}
