@@ -148,10 +148,6 @@ fn run_sweep(quick: bool) {
             ..ServerConfig::default()
         },
     );
-    let on_reactor = server.reactor_stats().is_some();
-    if !on_reactor {
-        eprintln!("conn_scale: warning: server is on the thread-per-connection path");
-    }
 
     let mut results = Vec::new();
     for &requested in rungs {
@@ -184,7 +180,7 @@ fn run_sweep(quick: bool) {
         drain_rung(&server);
     }
 
-    report(&results, quick, on_reactor);
+    report(&results, quick);
 }
 
 /// Waits for the reactor to observe every client close from the previous
@@ -371,7 +367,7 @@ fn fd_limit() -> Option<usize> {
     None
 }
 
-fn report(results: &[RungResult], quick: bool, on_reactor: bool) {
+fn report(results: &[RungResult], quick: bool) {
     let rows: Vec<Vec<String>> = results
         .iter()
         .map(|r| {
@@ -427,7 +423,7 @@ fn report(results: &[RungResult], quick: bool, on_reactor: bool) {
     }
     let c5 = format!(
         "{{\n    \"experiment\": \"C5 connection-scale latency\",\n    \
-         \"quick\": {quick},\n    \"reactor\": {on_reactor},\n    \
+         \"quick\": {quick},\n    \
          \"rungs\": [\n{rungs}\n    ]\n  }}"
     );
     match merge_into_report(&c5) {

@@ -242,7 +242,11 @@ impl RawRig {
         let dispatcher: Arc<dyn netobj_rpc::Dispatcher> = Arc::new(
             |_c: netobj_wire::SpaceId, _t: netobj_wire::WireRep, _m: u32, a: &[u8]| Ok(a.to_vec()),
         );
-        let server = netobj_rpc::RpcServer::start(listener, dispatcher, 4);
+        let server = netobj_rpc::RpcServer::start_with_config(
+            listener,
+            dispatcher,
+            netobj_rpc::ServerConfig::default(),
+        );
         let conn = net.connect(&Endpoint::sim("raw-server")).expect("connect");
         let client = netobj_rpc::CallClient::new(Arc::from(conn), netobj_wire::SpaceId::fresh());
         RawRig {

@@ -163,15 +163,17 @@ pub struct Gauges {
     pub pool_connections: u64,
     /// Per-endpoint circuit breakers currently open.
     pub open_breakers: u64,
-    /// Connections registered with the server's reactor core (0 when the
-    /// server runs thread-per-connection, e.g. loopback or virtual clock).
+    /// Connections registered with the server's reactor, over any
+    /// transport (0 for a space that does not listen).
     pub reactor_connections: u64,
-    /// Readiness events delivered by the reactor's most recent poll batch
-    /// — the instantaneous depth of the readiness queue.
+    /// Readiness events the poller delivered in the reactor's most recent
+    /// batch — the instantaneous depth of the readiness queue. Sockets
+    /// only: in-process connections announce readiness without the poller.
     pub reactor_readiness_depth: u64,
     /// Largest readiness batch the reactor has ever drained in one wakeup.
     pub reactor_readiness_high_water: u64,
-    /// Reply frames written by the reactor's coalesced flushes.
+    /// Reply frames written by the reactor's coalesced flushes (sockets
+    /// only: an in-process reply goes straight into the peer's inbox).
     pub reactor_frames_flushed: u64,
     /// Vectored-write syscalls those flushes issued;
     /// `reactor_frames_flushed / reactor_flush_syscalls` is the

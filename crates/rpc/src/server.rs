@@ -1,27 +1,22 @@
 //! The RPC server: readiness-driven accept/decode, worker dispatch.
 //!
-//! The server runs on one of two execution substrates, chosen at start:
+//! A single [`Reactor`] thread owns every connection of a server,
+//! whatever the transport and whatever the clock. Readiness wakes it — a
+//! socket's through the poller, an in-process connection's through its
+//! waker — it decodes frames and feeds them to a per-connection *state
+//! machine* ([`ConnState`], its [`ConnDriver`]); fast methods
+//! dispatch inline on the reactor thread, everything else goes to the
+//! shared [`FairPool`]. Replies — from workers or the inline path — go
+//! out through the connection's `send`; a socket queues them and the
+//! reactor flushes them in coalesced vectored writes. This scales to tens
+//! of thousands of connections on a handful of threads, and it means the
+//! deterministic virtual-time suites exercise the code that serves TCP.
 //!
-//! - **Reactor core** (pollable listener + system clock): a single
-//!   [`Reactor`] thread owns every connection. Readiness wakes it, it
-//!   decodes frames and feeds them to a per-connection *state machine*
-//!   ([`ServerConnDriver`] around [`ConnState`]); fast methods dispatch
-//!   inline on the reactor thread, everything else goes to the shared
-//!   [`FairPool`]. Replies — from workers or the inline path — queue on
-//!   the connection and flush in coalesced vectored writes. This scales
-//!   to tens of thousands of connections on a handful of threads.
-//! - **Thread per connection** (everything else): each accepted
-//!   connection gets a blocking reader thread running the same state
-//!   machine. In-process transports (loopback, SimNet, channels) and
-//!   virtual-clock servers always use this path, which is what keeps the
-//!   deterministic virtual-time suites byte-identical: the reactor is an
-//!   execution substrate, not a semantic change.
-//!
-//! Either way each decoded request is handed to the worker pool (or the
-//! inline fast path), which calls the [`Dispatcher`] and sends the reply
-//! back on the same connection; long-running methods never block frame
-//! decode, so concurrent calls on one connection proceed in parallel,
-//! exactly as in the original runtime.
+//! Each decoded request is handed to the worker pool (or the inline fast
+//! path), which calls the [`Dispatcher`] and sends the reply back on the
+//! same connection; long-running methods never block frame decode, so
+//! concurrent calls on one connection proceed in parallel, exactly as in
+//! the original runtime.
 //!
 //! # The inline fast path
 //!
@@ -31,10 +26,10 @@
 //! the packet). Servers on the *system* clock therefore keep a small
 //! adaptive classifier per connection: a method whose last observed
 //! service time was under [`INLINE_FAST_MICROS`] is dispatched directly
-//! on the reader thread, skipping the queue and the switch; a slow
+//! on the reactor thread, skipping the queue and the switch; a slow
 //! observation demotes it back to the worker pool. Methods start out
 //! unclassified — and therefore on the pool — so a blocking method's
-//! first call can never wedge the reader. Servers on a virtual clock
+//! first call can never wedge the reactor. Servers on a virtual clock
 //! always use the pool: inline dispatch would serialise virtual-time
 //! sleeps that the deterministic suites expect to overlap.
 
@@ -86,7 +81,7 @@ pub struct DispatchCx {
     pub trace_id: u64,
     /// The caller's span id for this call (`0` = absent).
     pub span_id: u64,
-    /// Time between decoding the request on the reader thread and a
+    /// Time between decoding the request on the reactor thread and a
     /// worker picking it up.
     pub queue_wait: std::time::Duration,
 }
@@ -174,73 +169,29 @@ impl Default for ServerConfig {
 pub struct RpcServer {
     stopped: Arc<AtomicBool>,
     listener: Arc<dyn Listener>,
-    accept_thread: Option<std::thread::JoinHandle<()>>,
-    /// `Some` when this server runs on the reactor core (pollable
-    /// listener, system clock); `None` on the thread-per-connection path.
-    reactor: Option<Arc<Reactor>>,
+    reactor: Reactor,
     stats: Arc<ServerStats>,
     pool: Arc<FairPool>,
 }
 
 impl RpcServer {
-    /// Starts serving `listener` with `workers` worker threads and an
-    /// unbounded job queue.
-    pub fn start(
-        listener: Box<dyn Listener>,
-        dispatcher: Arc<dyn Dispatcher>,
-        workers: usize,
-    ) -> RpcServer {
-        Self::start_with_queue(listener, dispatcher, workers, None)
-    }
-
-    /// Starts serving `listener` with `workers` worker threads. With
-    /// `queue_limit` set, at most that many decoded requests wait for a
-    /// worker; excess requests are *shed* — answered immediately with a
-    /// retryable [`RemoteErrorKind::Busy`] error instead of queueing
-    /// without bound behind slow calls.
-    pub fn start_with_queue(
-        listener: Box<dyn Listener>,
-        dispatcher: Arc<dyn Dispatcher>,
-        workers: usize,
-        queue_limit: Option<usize>,
-    ) -> RpcServer {
-        Self::start_with_clock(
-            listener,
-            dispatcher,
-            workers,
-            queue_limit,
-            ClockHandle::system(),
-        )
-    }
-
-    /// Like [`RpcServer::start_with_queue`], but acknowledgement timeouts
-    /// are measured on `clock`, and under a virtual clock each in-flight
-    /// dispatch holds the clock so waiting callers cannot time out while
-    /// their call is still executing.
-    pub fn start_with_clock(
-        listener: Box<dyn Listener>,
-        dispatcher: Arc<dyn Dispatcher>,
-        workers: usize,
-        queue_limit: Option<usize>,
-        clock: ClockHandle,
-    ) -> RpcServer {
-        Self::start_with_config(
-            listener,
-            dispatcher,
-            ServerConfig {
-                workers,
-                queue_limit,
-                budget: ResourceBudget::unlimited(),
-                clock,
-            },
-        )
-    }
-
-    /// Starts serving `listener` with full admission-control configuration:
-    /// per-client budgets are enforced on connections and dispatch, and
-    /// over-budget requests are answered with the non-retryable
-    /// [`RemoteErrorKind::QuotaExceeded`] error (global saturation still
-    /// answers with retryable [`RemoteErrorKind::Busy`]).
+    /// Starts serving `listener` on a reactor of its own.
+    ///
+    /// With `queue_limit` set, at most that many decoded requests wait for
+    /// a worker; excess requests are *shed* — answered at once with a
+    /// retryable [`RemoteErrorKind::Busy`] instead of queueing without
+    /// bound behind slow calls. Per-client budgets are enforced on
+    /// connections and dispatch, and over-budget requests are answered
+    /// with the non-retryable [`RemoteErrorKind::QuotaExceeded`].
+    /// Acknowledgement timeouts are measured on `clock`, and under a
+    /// virtual clock each in-flight dispatch holds the clock so waiting
+    /// callers cannot time out while their call is still executing.
+    ///
+    /// # Panics
+    ///
+    /// If the reactor cannot start — a thread cannot be spawned, or the
+    /// platform has no epoll backend (serving is Linux-only; clients are
+    /// not) — or if `listener` cannot be driven by one.
     pub fn start_with_config(
         listener: Box<dyn Listener>,
         dispatcher: Arc<dyn Dispatcher>,
@@ -257,74 +208,22 @@ impl RpcServer {
         let pool = FairPool::new(workers, "rpc-worker", queue_limit, budget);
         let listener: Arc<dyn Listener> = Arc::from(listener);
 
-        // Reactor core: a pollable listener on a system clock is served by
-        // the event loop instead of per-connection threads. Virtual-clock
-        // servers always keep the thread path — the deterministic suites
-        // rely on blocking reads interleaving with virtual-time holds.
-        // `NETOBJ_NO_REACTOR` forces the thread path for A/B measurement
-        // (experiment C5) and as an operational escape hatch.
-        let reactor_disabled = std::env::var_os("NETOBJ_NO_REACTOR").is_some();
-        if !reactor_disabled && clock.as_virtual().is_none() && listener.as_pollable().is_some() {
-            if let Ok(reactor) = Reactor::start(Reactor::DEFAULT_TICK) {
-                let accept = ServerAccept {
-                    dispatcher: Arc::clone(&dispatcher),
-                    pool: Arc::clone(&pool),
-                    stats: Arc::clone(&stats),
-                    stopped: Arc::clone(&stopped),
-                    clock: clock.clone(),
-                };
-                if reactor
-                    .register_listener(Arc::clone(&listener), Box::new(accept))
-                    .is_ok()
-                {
-                    return RpcServer {
-                        stopped,
-                        listener,
-                        accept_thread: None,
-                        reactor: Some(Arc::new(reactor)),
-                        stats,
-                        pool,
-                    };
-                }
-            }
-            // No readiness backend (or registration failed): fall through
-            // to the blocking path below.
-        }
-
-        let accept_stopped = Arc::clone(&stopped);
-        let accept_stats = Arc::clone(&stats);
-        let accept_listener = Arc::clone(&listener);
-        let accept_pool = Arc::clone(&pool);
-        let accept_thread = std::thread::Builder::new()
-            .name("rpc-accept".into())
-            .spawn(move || loop {
-                let conn = match accept_listener.accept() {
-                    Ok(c) => c,
-                    Err(_) => break,
-                };
-                if accept_stopped.load(Ordering::Acquire) {
-                    conn.close();
-                    break;
-                }
-                accept_stats.connections.fetch_add(1, Ordering::Relaxed);
-                let conn: Arc<dyn Conn> = Arc::from(conn);
-                let dispatcher = Arc::clone(&dispatcher);
-                let pool = Arc::clone(&accept_pool);
-                let stats = Arc::clone(&accept_stats);
-                let stopped = Arc::clone(&accept_stopped);
-                let clock = clock.clone();
-                std::thread::Builder::new()
-                    .name("rpc-conn".into())
-                    .spawn(move || connection_loop(conn, dispatcher, pool, stats, stopped, clock))
-                    .expect("spawn rpc connection reader");
-            })
-            .expect("spawn rpc accept thread");
-
+        let reactor = Reactor::start(Reactor::DEFAULT_TICK, clock.clone())
+            .expect("RpcServer needs the epoll reactor (Linux only) and a thread to run it on");
+        let accept = ServerAccept {
+            dispatcher,
+            pool: Arc::clone(&pool),
+            stats: Arc::clone(&stats),
+            stopped: Arc::clone(&stopped),
+            clock,
+        };
+        reactor
+            .register_listener(Arc::clone(&listener), Box::new(accept))
+            .expect("RpcServer's listener must be drivable by the reactor");
         RpcServer {
             stopped,
             listener,
-            accept_thread: Some(accept_thread),
-            reactor: None,
+            reactor,
             stats,
             pool,
         }
@@ -390,25 +289,20 @@ impl RpcServer {
         self.pool.per_client()
     }
 
-    /// Reactor-core statistics: `Some` when this server runs on the
-    /// readiness event loop, `None` on the thread-per-connection path.
+    /// Statistics of the reactor serving this server. Always `Some`: every
+    /// server runs on one.
     pub fn reactor_stats(&self) -> Option<ReactorSnapshot> {
-        self.reactor.as_ref().map(|r| r.stats())
+        Some(self.reactor.stats())
     }
 
     /// Stops accepting and tears the server down.
     pub fn stop(&mut self) {
         self.stopped.store(true, Ordering::Release);
         self.listener.close();
-        if let Some(h) = self.accept_thread.take() {
-            let _ = h.join();
-        }
         // Reactor first: its shutdown closes every registered connection
         // and runs each driver's teardown (ack drains, quota unbinding)
         // while the pool can still report ShutDown to late frames.
-        if let Some(reactor) = self.reactor.take() {
-            reactor.shutdown();
-        }
+        self.reactor.shutdown();
         self.pool.shutdown();
     }
 }
@@ -533,7 +427,7 @@ impl SeenRequests {
 }
 
 /// Service-time ceiling (on the connection's clock) under which a method
-/// is considered *fast* and eligible for inline dispatch on the reader
+/// is considered *fast* and eligible for inline dispatch on the reactor
 /// thread. Well above a short method's cost, well below anything that
 /// blocks on I/O, locks held across calls, or deliberate sleeps.
 pub const INLINE_FAST_MICROS: u64 = 200;
@@ -542,9 +436,9 @@ pub const INLINE_FAST_MICROS: u64 = 200;
 ///
 /// Maps `(object, method)` to the last verdict: `true` = the previous
 /// dispatch finished under [`INLINE_FAST_MICROS`], so the next one may run
-/// on the reader thread. Unknown methods are never inlined — their first
+/// on the reactor thread. Unknown methods are never inlined — their first
 /// call always goes through the worker pool, so a method that blocks
-/// cannot wedge the reader before it has ever been observed. `None` when
+/// cannot wedge the reactor before it has ever been observed. `None` when
 /// the server runs on a virtual clock (inline dispatch would serialise
 /// virtual-time sleeps the deterministic suites expect to overlap).
 struct FastMethods {
@@ -573,7 +467,7 @@ impl FastMethods {
 }
 
 /// Everything a request needs besides its own fields, bundled so the
-/// reader clones ONE `Arc` per job instead of one per component.
+/// reactor clones ONE `Arc` per job instead of one per component.
 struct ConnCtx {
     conn: Arc<dyn Conn>,
     dispatcher: Arc<dyn Dispatcher>,
@@ -590,7 +484,7 @@ struct ConnCtx {
 }
 
 /// Dispatches one request and sends its reply; shared by the worker path
-/// and the reader's inline fast path. Returns the method's service time
+/// and the reactor's inline fast path. Returns the method's service time
 /// (on the connection's clock) for the fast-path classifier.
 fn serve_request(ctx: &ConnCtx, rq: Request, enqueued: std::time::Instant) -> std::time::Duration {
     let clock = &ctx.clock;
@@ -632,20 +526,12 @@ fn serve_request(ctx: &ConnCtx, rq: Request, enqueued: std::time::Instant) -> st
     after.saturating_duration_since(svc_start)
 }
 
-/// Verdict of [`ConnState::handle_frame`]: keep the connection, or tear
-/// it down (malformed traffic, protocol violation, quota refusal, a dead
-/// peer, or server shutdown).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Step {
-    Continue,
-    Close,
-}
-
-/// The per-connection protocol state machine, shared verbatim by both
-/// execution substrates: the blocking reader thread feeds it from
-/// `recv_timeout`, the reactor feeds it from readiness-driven decode.
-/// Admission control, identity binding, dup suppression and the inline
-/// fast path therefore behave identically on either core.
+/// The per-connection protocol state machine, fed by the reactor from
+/// readiness-driven decode: admission control, identity binding, dup
+/// suppression and the inline fast path. `on_frame` (and therefore the
+/// inline fast path) runs directly on the reactor thread; replies it sends
+/// to a socket are flushed by the reactor's coalesced write right after
+/// the frame batch.
 struct ConnState {
     ctx: Arc<ConnCtx>,
     pool: Arc<FairPool>,
@@ -658,51 +544,29 @@ struct ConnState {
 }
 
 impl ConnState {
-    fn new(
-        conn: Arc<dyn Conn>,
-        dispatcher: Arc<dyn Dispatcher>,
-        pool: Arc<FairPool>,
-        stats: Arc<ServerStats>,
-        stopped: Arc<AtomicBool>,
-        clock: ClockHandle,
-    ) -> ConnState {
-        let ctx = Arc::new(ConnCtx {
-            conn,
-            dispatcher,
-            stats,
-            fast: clock.as_virtual().is_none().then(FastMethods::new),
-            clock,
-            acks: AckTable::default(),
-            send_buf: parking_lot::Mutex::new(SendBuf::new()),
-        });
-        ConnState {
-            ctx,
-            pool,
-            stopped,
-            seen: SeenRequests::new(),
-            bound: None,
-        }
-    }
-
     /// Sweeps expired ack obligations (no-op while the table is empty).
     fn sweep_acks(&self) {
         if !self.ctx.acks.is_empty() {
             self.ctx.acks.expire(self.ctx.clock.now());
         }
     }
+}
 
-    /// Runs one decoded wire frame through the state machine.
-    fn handle_frame(&mut self, frame: &Bytes) -> Step {
+impl ConnDriver for ConnState {
+    /// Runs one decoded wire frame through the state machine. `Close`
+    /// tears the connection down: malformed traffic, a protocol violation,
+    /// a quota refusal, a dead peer, or server shutdown.
+    fn on_frame(&mut self, frame: Bytes) -> Drive {
         let ctx = &self.ctx;
         if self.stopped.load(Ordering::Acquire) {
-            return Step::Close;
+            return Drive::Close;
         }
         self.sweep_acks();
-        let msg = match RpcMsg::decode(frame) {
+        let msg = match RpcMsg::decode(&frame) {
             Ok(m) => m,
             Err(_) => {
                 // Malformed traffic: drop the connection.
-                return Step::Close;
+                return Drive::Close;
             }
         };
         let rq = match msg {
@@ -712,17 +576,17 @@ impl ConnState {
                     // the call already ran (or is running); drop it. The
                     // caller matches on call id, so a duplicate reply from
                     // the first execution serves both frames.
-                    return Step::Continue;
+                    return Drive::Continue;
                 }
                 rq
             }
             RpcMsg::ReplyAck(call_id) => {
                 ctx.acks.acknowledge(call_id);
-                return Step::Continue;
+                return Drive::Continue;
             }
             RpcMsg::Reply(_) => {
                 // Replies arriving at a server end are protocol violations.
-                return Step::Close;
+                return Drive::Close;
             }
         };
         if self.bound.is_none() {
@@ -742,7 +606,7 @@ impl ConnState {
                     .lock()
                     .encode_reply(rq.call_id, false, Err(&err));
                 let _ = ctx.conn.send(frame);
-                return Step::Close;
+                return Drive::Close;
             }
         }
         ctx.stats.requests.fetch_add(1, Ordering::Relaxed);
@@ -751,14 +615,14 @@ impl ConnState {
         if let Some(fast) = &ctx.fast {
             if fast.is_fast(fast_key) {
                 // Last observation was fast: skip the worker handoff and
-                // dispatch on the decoding thread (the reader, or the
-                // reactor itself). A slow surprise demotes the method so
-                // the next call goes back to the pool. Inline calls bypass
-                // queue admission, but the decoder serialises them, so one
-                // connection can hold at most one at a time.
+                // dispatch on the decoding thread (the reactor's). A slow
+                // surprise demotes the method so the next call goes back to
+                // the pool. Inline calls bypass queue admission, but the
+                // decoder serialises them, so one connection can hold at
+                // most one at a time.
                 let service = serve_request(ctx, rq, enqueued);
                 fast.observe(fast_key, service);
-                return Step::Continue;
+                return Drive::Continue;
             }
         }
         let call_id = rq.call_id;
@@ -787,7 +651,7 @@ impl ConnState {
             }),
         );
         match admitted {
-            FairAdmit::Queued => Step::Continue,
+            FairAdmit::Queued => Drive::Continue,
             FairAdmit::Saturated => {
                 // Shed before dispatch: the method did not (and will not)
                 // run, so the rejection is a *not delivered* failure the
@@ -797,9 +661,9 @@ impl ConnState {
                 let busy = RemoteError::new(RemoteErrorKind::Busy, "server worker pool saturated");
                 let frame = ctx.send_buf.lock().encode_reply(call_id, false, Err(&busy));
                 if ctx.conn.send(frame).is_err() {
-                    return Step::Close;
+                    return Drive::Close;
                 }
-                Step::Continue
+                Drive::Continue
             }
             FairAdmit::OverQuota => {
                 // The client exceeded its own queue share or in-flight
@@ -812,17 +676,23 @@ impl ConnState {
                 );
                 let frame = ctx.send_buf.lock().encode_reply(call_id, false, Err(&err));
                 if ctx.conn.send(frame).is_err() {
-                    return Step::Close;
+                    return Drive::Close;
                 }
-                Step::Continue
+                Drive::Continue
             }
-            FairAdmit::ShutDown => Step::Close,
+            FairAdmit::ShutDown => Drive::Close,
         }
+    }
+
+    fn on_tick(&mut self) {
+        // Expired ack obligations are released even while the connection
+        // is idle.
+        self.sweep_acks();
     }
 
     /// Connection over: no acks can arrive; release everything the
     /// connection holds. Idempotent.
-    fn finish(&mut self) {
+    fn on_close(&mut self) {
         self.ctx.conn.close();
         self.ctx.acks.drain();
         if let Some(client) = self.bound.take() {
@@ -831,34 +701,7 @@ impl ConnState {
     }
 }
 
-/// The reactor-side wrapper: adapts [`ConnState`] to the transport's
-/// [`ConnDriver`] callbacks. `on_frame` (and therefore the inline fast
-/// path) runs directly on the reactor thread; replies it queues are
-/// flushed by the reactor's coalesced write right after the frame batch.
-struct ServerConnDriver {
-    state: ConnState,
-}
-
-impl ConnDriver for ServerConnDriver {
-    fn on_frame(&mut self, frame: Bytes) -> Drive {
-        match self.state.handle_frame(&frame) {
-            Step::Continue => Drive::Continue,
-            Step::Close => Drive::Close,
-        }
-    }
-
-    fn on_tick(&mut self) {
-        // Matches the blocking path's 500 ms `recv_timeout` sweep: expired
-        // ack obligations are released even while the connection is idle.
-        self.state.sweep_acks();
-    }
-
-    fn on_close(&mut self) {
-        self.state.finish();
-    }
-}
-
-/// Builds a [`ServerConnDriver`] for every connection the reactor accepts.
+/// Builds a [`ConnState`] for every connection the reactor accepts.
 struct ServerAccept {
     dispatcher: Arc<dyn Dispatcher>,
     pool: Arc<FairPool>,
@@ -874,50 +717,24 @@ impl AcceptDriver for ServerAccept {
             return None;
         }
         self.stats.connections.fetch_add(1, Ordering::Relaxed);
-        Some(Box::new(ServerConnDriver {
-            state: ConnState::new(
-                conn,
-                Arc::clone(&self.dispatcher),
-                Arc::clone(&self.pool),
-                Arc::clone(&self.stats),
-                Arc::clone(&self.stopped),
-                self.clock.clone(),
-            ),
+        let clock = self.clock.clone();
+        let ctx = Arc::new(ConnCtx {
+            conn,
+            dispatcher: Arc::clone(&self.dispatcher),
+            stats: Arc::clone(&self.stats),
+            fast: clock.as_virtual().is_none().then(FastMethods::new),
+            clock,
+            acks: AckTable::default(),
+            send_buf: parking_lot::Mutex::new(SendBuf::new()),
+        });
+        Some(Box::new(ConnState {
+            ctx,
+            pool: Arc::clone(&self.pool),
+            stopped: Arc::clone(&self.stopped),
+            seen: SeenRequests::new(),
+            bound: None,
         }))
     }
-}
-
-/// The blocking substrate: one thread per connection, driving the same
-/// [`ConnState`] from a bounded `recv_timeout` loop.
-fn connection_loop(
-    conn: Arc<dyn Conn>,
-    dispatcher: Arc<dyn Dispatcher>,
-    pool: Arc<FairPool>,
-    stats: Arc<ServerStats>,
-    stopped: Arc<AtomicBool>,
-    clock: ClockHandle,
-) {
-    let conn_handle = Arc::clone(&conn);
-    let mut state = ConnState::new(conn, dispatcher, pool, stats, stopped, clock);
-    loop {
-        if state.stopped.load(Ordering::Acquire) {
-            break;
-        }
-        // A bounded recv lets us sweep expired ack obligations even when
-        // the connection is idle.
-        let frame = match conn_handle.recv_timeout(std::time::Duration::from_millis(500)) {
-            Ok(f) => f,
-            Err(netobj_transport::TransportError::Timeout) => {
-                state.sweep_acks();
-                continue;
-            }
-            Err(_) => break,
-        };
-        if state.handle_frame(&frame) == Step::Close {
-            break;
-        }
-    }
-    state.finish();
 }
 
 #[cfg(test)]
@@ -926,6 +743,8 @@ mod tests {
     use crate::client::CallClient;
     use crate::error::{RemoteErrorKind, RpcError};
     use netobj_transport::loopback::Loopback;
+    use netobj_transport::sim::SimNet;
+    use netobj_transport::tcp::Tcp;
     use netobj_transport::{Endpoint, Transport};
     use netobj_wire::ObjIx;
     use std::time::Duration;
@@ -943,17 +762,49 @@ mod tests {
         )
     }
 
+    fn workers(workers: usize) -> ServerConfig {
+        ServerConfig {
+            workers,
+            ..ServerConfig::default()
+        }
+    }
+
+    fn connect(t: &dyn Transport, server: &RpcServer, caller: u128) -> Arc<CallClient> {
+        let conn = t.connect(&server.local_endpoint()).unwrap();
+        CallClient::new(Arc::from(conn), SpaceId::from_raw(caller))
+    }
+
+    /// Runs `body` once per transport, with an endpoint to listen at: the
+    /// serving path is one, so what holds over one holds over all three.
+    fn over_each_transport(body: impl Fn(&dyn Transport, Endpoint)) {
+        body(&Loopback::new(), Endpoint::loopback("srv"));
+        let sim = SimNet::instant();
+        body(&sim, Endpoint::sim("srv"));
+        sim.shutdown();
+        body(&Tcp, Endpoint::tcp("127.0.0.1:0"));
+    }
+
     fn start_over_loopback() -> (RpcServer, Arc<CallClient>) {
         let t = Loopback::new();
         let l = t.listen(&Endpoint::loopback("srv")).unwrap();
-        let server = RpcServer::start(l, echo_dispatcher(), 4);
-        let conn = t.connect(&Endpoint::loopback("srv")).unwrap();
-        let client = CallClient::new(Arc::from(conn), SpaceId::from_raw(1));
+        let server = RpcServer::start_with_config(l, echo_dispatcher(), workers(4));
+        let client = connect(&t, &server, 1);
         (server, client)
     }
 
     fn target(ix: u64) -> WireRep {
         WireRep::new(SpaceId::from_raw(2), ObjIx(ix))
+    }
+
+    fn wait_until(what: &str, within: Duration, mut cond: impl FnMut() -> bool) {
+        let deadline = std::time::Instant::now() + within;
+        while !cond() {
+            assert!(
+                std::time::Instant::now() < deadline,
+                "{what}: not within {within:?}"
+            );
+            std::thread::sleep(Duration::from_millis(1));
+        }
     }
 
     #[test]
@@ -975,14 +826,32 @@ mod tests {
     }
 
     #[test]
+    fn every_transports_server_runs_on_the_reactor() {
+        over_each_transport(|t, ep| {
+            let server =
+                RpcServer::start_with_config(t.listen(&ep).unwrap(), echo_dispatcher(), workers(4));
+            let client = connect(t, &server, 1);
+            for i in 0..50u8 {
+                let got = client.call(target(7), 0, vec![i]).unwrap();
+                assert_eq!(&got[..8], &7u64.to_le_bytes());
+                assert_eq!(got[8], i);
+            }
+            assert_eq!(server.requests(), 50);
+            assert_eq!(server.connections(), 1);
+            let stats = server.reactor_stats().expect("served by a reactor");
+            assert_eq!(stats.accepted, 1);
+            assert_eq!(stats.connections, 1);
+        });
+    }
+
+    #[test]
     fn many_concurrent_clients() {
         let t = Loopback::new();
         let l = t.listen(&Endpoint::loopback("srv")).unwrap();
-        let server = RpcServer::start(l, echo_dispatcher(), 8);
+        let server = RpcServer::start_with_config(l, echo_dispatcher(), workers(8));
         let mut joins = Vec::new();
         for i in 0..8u64 {
-            let conn = t.connect(&Endpoint::loopback("srv")).unwrap();
-            let client = CallClient::new(Arc::from(conn), SpaceId::from_raw(u128::from(i)));
+            let client = connect(&t, &server, u128::from(i));
             joins.push(std::thread::spawn(move || {
                 for j in 0..20u8 {
                     let got = client.call(target(i), 0, vec![j]).unwrap();
@@ -997,32 +866,51 @@ mod tests {
         assert_eq!(server.connections(), 8);
     }
 
+    /// A request sent the instant the connection exists reaches the
+    /// server half before the reactor has accepted it, let alone installed
+    /// its waker: nobody announces that frame, so registration has to look.
+    #[test]
+    fn request_sent_before_the_accept_is_served() {
+        over_each_transport(|t, ep| {
+            let server =
+                RpcServer::start_with_config(t.listen(&ep).unwrap(), echo_dispatcher(), workers(2));
+            for i in 0..1000u32 {
+                let client = connect(t, &server, 1);
+                let got = client
+                    .call_with_timeout(target(7), 0, vec![i as u8], Duration::from_secs(5))
+                    .unwrap_or_else(|e| panic!("connection {i}: {e:?}"));
+                assert_eq!(got[8], i as u8);
+            }
+            assert_eq!(server.requests(), 1000);
+        });
+    }
+
     #[test]
     fn slow_call_does_not_block_fast_call_on_same_connection() {
-        let t = Loopback::new();
-        let l = t.listen(&Endpoint::loopback("srv")).unwrap();
-        let dispatcher: Arc<dyn Dispatcher> =
-            Arc::new(|_c: SpaceId, _t: WireRep, method: u32, _a: &[u8]| {
-                if method == 1 {
-                    std::thread::sleep(Duration::from_millis(300));
-                }
-                Ok(vec![method as u8])
-            });
-        let _server = RpcServer::start(l, dispatcher, 4);
-        let conn = t.connect(&Endpoint::loopback("srv")).unwrap();
-        let client = CallClient::new(Arc::from(conn), SpaceId::from_raw(1));
+        over_each_transport(|t, ep| {
+            let dispatcher: Arc<dyn Dispatcher> =
+                Arc::new(|_c: SpaceId, _t: WireRep, method: u32, _a: &[u8]| {
+                    if method == 1 {
+                        std::thread::sleep(Duration::from_millis(300));
+                    }
+                    Ok(vec![method as u8])
+                });
+            let server =
+                RpcServer::start_with_config(t.listen(&ep).unwrap(), dispatcher, workers(4));
+            let client = connect(t, &server, 1);
 
-        let slow_client = Arc::clone(&client);
-        let slow = std::thread::spawn(move || slow_client.call(target(0), 1, vec![]));
-        std::thread::sleep(Duration::from_millis(30));
-        let t0 = std::time::Instant::now();
-        let fast = client.call(target(0), 2, vec![]).unwrap();
-        assert_eq!(fast, vec![2]);
-        assert!(
-            t0.elapsed() < Duration::from_millis(200),
-            "fast call was blocked by slow call"
-        );
-        assert_eq!(slow.join().unwrap().unwrap(), vec![1]);
+            let slow_client = Arc::clone(&client);
+            let slow = std::thread::spawn(move || slow_client.call(target(0), 1, vec![]));
+            std::thread::sleep(Duration::from_millis(30));
+            let t0 = std::time::Instant::now();
+            let fast = client.call(target(0), 2, vec![]).unwrap();
+            assert_eq!(fast, vec![2]);
+            assert!(
+                t0.elapsed() < Duration::from_millis(200),
+                "fast call was blocked by slow call"
+            );
+            assert_eq!(slow.join().unwrap().unwrap(), vec![1]);
+        });
     }
 
     #[test]
@@ -1047,15 +935,14 @@ mod tests {
         let released = Arc::new(AtomicU64::new(0));
         let t = Loopback::new();
         let l = t.listen(&Endpoint::loopback("srv")).unwrap();
-        let _server = RpcServer::start(
+        let server = RpcServer::start_with_config(
             l,
             Arc::new(Pinning {
                 released: Arc::clone(&released),
             }),
-            2,
+            workers(2),
         );
-        let conn = t.connect(&Endpoint::loopback("srv")).unwrap();
-        let client = CallClient::new(Arc::from(conn), SpaceId::from_raw(1));
+        let client = connect(&t, &server, 1);
 
         let reply = client
             .call_raw(target(0), 0, vec![], Duration::from_secs(5))
@@ -1081,9 +968,15 @@ mod tests {
                 std::thread::sleep(Duration::from_millis(200));
                 Ok(vec![])
             });
-        let server = RpcServer::start_with_queue(l, dispatcher, 1, Some(1));
-        let conn = t.connect(&Endpoint::loopback("srv")).unwrap();
-        let client = CallClient::new(Arc::from(conn), SpaceId::from_raw(1));
+        let server = RpcServer::start_with_config(
+            l,
+            dispatcher,
+            ServerConfig {
+                queue_limit: Some(1),
+                ..workers(1)
+            },
+        );
+        let client = connect(&t, &server, 1);
 
         // 1 worker + 1 queue slot: of six concurrent calls at least one
         // must be shed, and shed calls answer far faster than the 200 ms
@@ -1119,17 +1012,15 @@ mod tests {
             l,
             dispatcher,
             ServerConfig {
-                workers: 1,
                 queue_limit: Some(64),
                 budget: ResourceBudget {
                     max_inflight: Some(2),
                     ..ResourceBudget::unlimited()
                 },
-                ..ServerConfig::default()
+                ..workers(1)
             },
         );
-        let conn = t.connect(&Endpoint::loopback("srv")).unwrap();
-        let client = CallClient::new(Arc::from(conn), SpaceId::from_raw(1));
+        let client = connect(&t, &server, 1);
 
         // Six concurrent calls against an in-flight budget of two: the
         // queue has room (global limit 64), so every rejection must be the
@@ -1154,41 +1045,79 @@ mod tests {
         assert_eq!(server.shed(), quota);
     }
 
-    #[test]
-    fn connection_limit_refuses_excess_connections() {
-        let t = Loopback::new();
-        let l = t.listen(&Endpoint::loopback("srv")).unwrap();
-        let server = RpcServer::start_with_config(
-            l,
-            echo_dispatcher(),
-            ServerConfig {
-                workers: 2,
-                budget: ResourceBudget {
-                    max_connections: Some(1),
-                    ..ResourceBudget::unlimited()
-                },
-                ..ServerConfig::default()
+    /// How long the server may take to notice that a connection ended: far
+    /// under the reactor's 500 ms tick, which is what it would take if the
+    /// close reached it by anything other than a wake-up.
+    const NOTICED_WITHIN: Duration = Duration::from_millis(250);
+
+    fn one_connection_per_client() -> ServerConfig {
+        ServerConfig {
+            budget: ResourceBudget {
+                max_connections: Some(1),
+                ..ResourceBudget::unlimited()
             },
-        );
-        let caller = SpaceId::from_raw(7);
-        let conn1 = t.connect(&Endpoint::loopback("srv")).unwrap();
-        let c1 = CallClient::new(Arc::from(conn1), caller);
-        c1.call(target(1), 0, vec![]).unwrap();
-        // Second connection claiming the same identity: its first request
-        // is refused with QuotaExceeded and the connection is dropped.
-        let conn2 = t.connect(&Endpoint::loopback("srv")).unwrap();
-        let c2 = CallClient::new(Arc::from(conn2), caller);
-        match c2.call_with_timeout(target(1), 0, vec![], Duration::from_secs(5)) {
-            Err(RpcError::Remote(e)) => assert_eq!(e.kind, RemoteErrorKind::QuotaExceeded),
-            other => panic!("expected QuotaExceeded, got {other:?}"),
+            ..workers(2)
         }
-        assert!(server.shed_quota() >= 1);
-        // The first connection keeps working, and a different client may
-        // still connect.
-        c1.call(target(1), 0, vec![]).unwrap();
-        let conn3 = t.connect(&Endpoint::loopback("srv")).unwrap();
-        let c3 = CallClient::new(Arc::from(conn3), SpaceId::from_raw(8));
-        c3.call(target(1), 0, vec![]).unwrap();
+    }
+
+    fn released(server: &RpcServer) -> bool {
+        server.per_client().is_empty() && server.reactor_stats().unwrap().connections == 0
+    }
+
+    #[test]
+    fn connection_limit_refuses_excess_connections_until_one_closes() {
+        over_each_transport(|t, ep| {
+            let server = RpcServer::start_with_config(
+                t.listen(&ep).unwrap(),
+                echo_dispatcher(),
+                one_connection_per_client(),
+            );
+            let c1 = connect(t, &server, 7);
+            c1.call(target(1), 0, vec![]).unwrap();
+            // Second connection claiming the same identity: its first
+            // request is refused with QuotaExceeded and the connection is
+            // dropped.
+            let c2 = connect(t, &server, 7);
+            match c2.call_with_timeout(target(1), 0, vec![], Duration::from_secs(5)) {
+                Err(RpcError::Remote(e)) => assert_eq!(e.kind, RemoteErrorKind::QuotaExceeded),
+                other => panic!("expected QuotaExceeded, got {other:?}"),
+            }
+            assert!(server.shed_quota() >= 1);
+            // The first connection keeps working, and a different client
+            // may still connect.
+            c1.call(target(1), 0, vec![]).unwrap();
+            let c3 = connect(t, &server, 8);
+            c3.call(target(1), 0, vec![]).unwrap();
+            // A peer's close reaches the reactor as a wake-up: it unbinds
+            // the identity, so the same client may connect again.
+            c1.close();
+            c3.close();
+            wait_until("peer close releases the binding", NOTICED_WITHIN, || {
+                released(&server)
+            });
+            let c4 = connect(t, &server, 7);
+            c4.call(target(1), 0, vec![]).unwrap();
+        });
+    }
+
+    /// `SimNet::crash` closes a connection from outside either half; the
+    /// serving half's reactor must hear of it like any other close.
+    #[test]
+    fn crash_releases_the_connections_binding() {
+        let net = SimNet::instant();
+        let server = RpcServer::start_with_config(
+            net.listen(&Endpoint::sim("srv")).unwrap(),
+            echo_dispatcher(),
+            one_connection_per_client(),
+        );
+        let client = connect(&net, &server, 7);
+        client.call(target(1), 0, vec![]).unwrap();
+        assert_eq!(server.per_client().len(), 1);
+        net.crash("srv");
+        wait_until("crash releases the binding", NOTICED_WITHIN, || {
+            released(&server)
+        });
+        net.shutdown();
     }
 
     #[test]
@@ -1200,9 +1129,15 @@ mod tests {
                 std::thread::sleep(Duration::from_millis(100));
                 Ok(vec![])
             });
-        let server = RpcServer::start_with_queue(l, dispatcher, 1, Some(16));
-        let conn = t.connect(&Endpoint::loopback("srv")).unwrap();
-        let client = CallClient::new(Arc::from(conn), SpaceId::from_raw(1));
+        let server = RpcServer::start_with_config(
+            l,
+            dispatcher,
+            ServerConfig {
+                queue_limit: Some(16),
+                ..workers(1)
+            },
+        );
+        let client = connect(&t, &server, 1);
         let mut joins = Vec::new();
         for _ in 0..4 {
             let c = Arc::clone(&client);
@@ -1222,128 +1157,14 @@ mod tests {
 
     #[test]
     fn stop_tears_down() {
-        let (mut server, client) = start_over_loopback();
-        server.stop();
-        std::thread::sleep(Duration::from_millis(100));
-        let got = client.call_with_timeout(target(0), 0, vec![], Duration::from_millis(200));
-        assert!(got.is_err());
-    }
-
-    #[test]
-    fn loopback_server_stays_on_thread_path() {
-        let (server, _client) = start_over_loopback();
-        assert!(server.reactor_stats().is_none());
-    }
-
-    #[cfg(unix)]
-    mod reactor_core {
-        use super::*;
-        use netobj_transport::tcp::Tcp;
-
-        fn start_over_tcp() -> (RpcServer, Arc<CallClient>) {
-            let l = Tcp.listen(&Endpoint::tcp("127.0.0.1:0")).unwrap();
-            let server = RpcServer::start(l, echo_dispatcher(), 4);
-            let conn = Tcp.connect(&server.local_endpoint()).unwrap();
-            let client = CallClient::new(Arc::from(conn), SpaceId::from_raw(1));
-            (server, client)
-        }
-
-        fn wait_until(mut cond: impl FnMut() -> bool) {
-            let deadline = std::time::Instant::now() + Duration::from_secs(10);
-            while !cond() {
-                assert!(
-                    std::time::Instant::now() < deadline,
-                    "condition not reached in 10s"
-                );
-                std::thread::sleep(Duration::from_millis(5));
-            }
-        }
-
-        #[test]
-        fn tcp_server_uses_the_reactor() {
-            let (server, client) = start_over_tcp();
-            assert!(
-                server.reactor_stats().is_some(),
-                "tcp + system clock must select the reactor core"
-            );
-            for i in 0..50u8 {
-                let got = client.call(target(7), 0, vec![i]).unwrap();
-                assert_eq!(&got[..8], &7u64.to_le_bytes());
-                assert_eq!(got[8], i);
-            }
-            assert_eq!(server.requests(), 50);
-            assert_eq!(server.connections(), 1);
-            let stats = server.reactor_stats().unwrap();
-            assert_eq!(stats.accepted, 1);
-            assert_eq!(stats.connections, 1);
-        }
-
-        #[test]
-        fn slow_call_does_not_block_fast_call_on_reactor() {
-            let l = Tcp.listen(&Endpoint::tcp("127.0.0.1:0")).unwrap();
-            let dispatcher: Arc<dyn Dispatcher> =
-                Arc::new(|_c: SpaceId, _t: WireRep, method: u32, _a: &[u8]| {
-                    if method == 1 {
-                        std::thread::sleep(Duration::from_millis(300));
-                    }
-                    Ok(vec![method as u8])
-                });
-            let server = RpcServer::start(l, dispatcher, 4);
-            assert!(server.reactor_stats().is_some());
-            let conn = Tcp.connect(&server.local_endpoint()).unwrap();
-            let client = CallClient::new(Arc::from(conn), SpaceId::from_raw(1));
-
-            let slow_client = Arc::clone(&client);
-            let slow = std::thread::spawn(move || slow_client.call(target(0), 1, vec![]));
-            std::thread::sleep(Duration::from_millis(30));
-            let t0 = std::time::Instant::now();
-            let fast = client.call(target(0), 2, vec![]).unwrap();
-            assert_eq!(fast, vec![2]);
-            assert!(
-                t0.elapsed() < Duration::from_millis(200),
-                "fast call was blocked by slow call"
-            );
-            assert_eq!(slow.join().unwrap().unwrap(), vec![1]);
-        }
-
-        #[test]
-        fn closed_connections_release_identity_and_quota_state() {
-            let l = Tcp.listen(&Endpoint::tcp("127.0.0.1:0")).unwrap();
-            let server = RpcServer::start_with_config(
-                l,
-                echo_dispatcher(),
-                ServerConfig {
-                    workers: 2,
-                    budget: ResourceBudget {
-                        max_connections: Some(1),
-                        ..ResourceBudget::unlimited()
-                    },
-                    ..ServerConfig::default()
-                },
-            );
-            assert!(server.reactor_stats().is_some());
-            let caller = SpaceId::from_raw(7);
-            let conn1 = Tcp.connect(&server.local_endpoint()).unwrap();
-            let c1 = CallClient::new(Arc::from(conn1), caller);
-            c1.call(target(1), 0, vec![]).unwrap();
-            assert_eq!(server.per_client().len(), 1);
-            drop(c1);
-            // The reactor notices the close and unbinds the identity, so
-            // the same client may connect again under its 1-conn budget.
-            wait_until(|| server.per_client().is_empty());
-            wait_until(|| server.reactor_stats().unwrap().connections == 0);
-            let conn2 = Tcp.connect(&server.local_endpoint()).unwrap();
-            let c2 = CallClient::new(Arc::from(conn2), caller);
-            c2.call(target(1), 0, vec![]).unwrap();
-        }
-
-        #[test]
-        fn stop_closes_reactor_connections() {
-            let (mut server, client) = start_over_tcp();
+        over_each_transport(|t, ep| {
+            let mut server =
+                RpcServer::start_with_config(t.listen(&ep).unwrap(), echo_dispatcher(), workers(4));
+            let client = connect(t, &server, 1);
             client.call(target(1), 0, vec![]).unwrap();
             server.stop();
             let got = client.call_with_timeout(target(0), 0, vec![], Duration::from_secs(1));
             assert!(got.is_err());
-        }
+        });
     }
 }

@@ -11,7 +11,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use netobj_rpc::server::Dispatch;
-use netobj_rpc::{CallClient, Dispatcher, RpcServer};
+use netobj_rpc::{CallClient, Dispatcher, RpcServer, ServerConfig};
 use netobj_transport::loopback::Loopback;
 use netobj_transport::{Endpoint, Transport};
 use netobj_wire::{ObjIx, SpaceId, WireRep};
@@ -36,12 +36,15 @@ fn setup() -> (RpcServer, Arc<CallClient>, Arc<AtomicU64>) {
     let released = Arc::new(AtomicU64::new(0));
     let t = Loopback::new();
     let l = t.listen(&Endpoint::loopback("srv")).unwrap();
-    let server = RpcServer::start(
+    let server = RpcServer::start_with_config(
         l,
         Arc::new(PinningDispatcher {
             released: Arc::clone(&released),
         }),
-        2,
+        ServerConfig {
+            workers: 2,
+            ..ServerConfig::default()
+        },
     );
     let conn = t.connect(&Endpoint::loopback("srv")).unwrap();
     let client = CallClient::new(Arc::from(conn), SpaceId::from_raw(1));

@@ -6,7 +6,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use netobj_rpc::server::Dispatch;
-use netobj_rpc::{CallClient, Dispatcher, RpcServer};
+use netobj_rpc::{CallClient, Dispatcher, RpcServer, ServerConfig};
 use netobj_transport::loopback::Loopback;
 use netobj_transport::tcp::Tcp;
 use netobj_transport::{Endpoint, Transport};
@@ -35,7 +35,11 @@ fn hammer_one_connection(transport: &dyn Transport, listen_at: Endpoint) {
     let served = Arc::new(AtomicU64::new(0));
     let listener = transport.listen(&listen_at).unwrap();
     let ep = listener.local_endpoint();
-    let _server = RpcServer::start(listener, Arc::new(CountingEcho(Arc::clone(&served))), 4);
+    let _server = RpcServer::start_with_config(
+        listener,
+        Arc::new(CountingEcho(Arc::clone(&served))),
+        ServerConfig::default(),
+    );
     let client = CallClient::new(
         Arc::from(transport.connect(&ep).unwrap()),
         SpaceId::from_raw(1),

@@ -1,77 +1,212 @@
-//! Channel-backed in-process connections.
+//! Channel-backed in-process connections and listeners.
 //!
 //! Both the loopback transport and the simulated network hand out
-//! [`ChanConn`]s: connection halves backed by crossbeam channels. The
-//! difference between the two transports is only in what sits between the
-//! sender's outbox and the receiver's inbox — nothing (loopback) or the
-//! fault-injecting delivery scheduler (sim).
+//! [`ChanConn`]s and `ChanListener`s: queues backed by crossbeam
+//! channels. The difference between the two transports is only in what
+//! sits between a sender and the receiver's inbox — nothing (loopback) or
+//! the fault-injecting delivery scheduler (sim), plugged in as a `Route`.
+//!
+//! Neither has a file descriptor, so under the [`crate::reactor`] they
+//! report readiness in software: every queue's sending side is a
+//! `Mailbox` — the channel sender plus the slot where a reactor-managed
+//! receiver left its waker — and delivering, closing, or dropping the
+//! last sender calls it.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use bytes::Bytes;
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender, TrySendError};
+use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender, TryRecvError};
+use parking_lot::Mutex;
 
 use crate::endpoint::Endpoint;
 use crate::error::TransportError;
-use crate::{Conn, Result};
+use crate::reactor::{
+    AcceptPoll, FlushReport, Pollable, PollableListener, ReactorWaker, ReadDrive,
+};
+use crate::{Conn, Listener, Result};
+
+/// Where the receiving end of a queue, once a reactor drives it, leaves
+/// the waker its senders must call; empty while a blocking thread reads
+/// it (every client half).
+///
+/// A sender queues (or sets the close flag), then looks in the slot; the
+/// reactor fills the slot, then looks at the queue and the flag (its visit
+/// on registering); both go through this lock, so one sees the other.
+#[derive(Default)]
+struct WakerSlot(Mutex<Option<ReactorWaker>>);
+
+impl WakerSlot {
+    fn set(&self, waker: ReactorWaker) {
+        *self.0.lock() = Some(waker);
+    }
+
+    /// Asks the receiver's reactor, if it has one, for a visit.
+    fn wake(&self) {
+        if let Some(waker) = &*self.0.lock() {
+            waker.wake_read();
+        }
+    }
+}
+
+/// The sending side of an in-process queue. Clones share one channel
+/// sender, so the receiver sees a disconnect exactly when the last clone —
+/// the peer half's, or the last of the sim scheduler's for frames still in
+/// flight — is gone.
+pub(crate) struct Mailbox<T>(Arc<MailboxInner<T>>);
+
+/// The receiving side: the channel, and the slot its senders look in.
+struct Inbox<T> {
+    rx: Receiver<T>,
+    slot: Arc<WakerSlot>,
+}
+
+struct MailboxInner<T> {
+    // Field order is drop order: the channel disconnects first...
+    tx: Sender<T>,
+    // ...and then the receiver's reactor is asked to come and see it.
+    hang_up: HangUp,
+}
+
+/// Wakes the slot's reactor when dropped: a disconnect has no frame to
+/// announce it, and a reactor has no blocked `recv` to stumble on it.
+struct HangUp(Arc<WakerSlot>);
+
+impl Drop for HangUp {
+    fn drop(&mut self) {
+        self.0.wake();
+    }
+}
+
+impl<T> Clone for Mailbox<T> {
+    fn clone(&self) -> Mailbox<T> {
+        Mailbox(Arc::clone(&self.0))
+    }
+}
+
+impl<T> Mailbox<T> {
+    fn new() -> (Mailbox<T>, Inbox<T>) {
+        let (tx, rx) = unbounded();
+        let slot = Arc::<WakerSlot>::default();
+        let hang_up = HangUp(Arc::clone(&slot));
+        (
+            Mailbox(Arc::new(MailboxInner { tx, hang_up })),
+            Inbox { rx, slot },
+        )
+    }
+
+    /// Queues `item` and, if a reactor drives the receiver, tells it.
+    /// False if the receiver is gone.
+    pub(crate) fn deliver(&self, item: T) -> bool {
+        let delivered = self.0.tx.send(item).is_ok();
+        if delivered {
+            self.0.hang_up.0.wake();
+        }
+        delivered
+    }
+}
 
 /// Shared close flag between the two halves of an in-process connection.
-#[derive(Debug, Default)]
-pub struct CloseFlag {
+pub(crate) struct CloseFlag {
     closed: AtomicBool,
+    /// The inbox waker slots of both halves: a reactor driving either
+    /// must hear of a close as promptly as of a frame.
+    wakers: [Arc<WakerSlot>; 2],
 }
 
 impl CloseFlag {
     /// Returns true once either side has closed.
-    pub fn is_closed(&self) -> bool {
+    pub(crate) fn is_closed(&self) -> bool {
         self.closed.load(Ordering::Acquire)
     }
 
     /// Marks the connection closed.
-    pub fn close(&self) {
-        self.closed.store(true, Ordering::Release);
+    pub(crate) fn close(&self) {
+        if !self.closed.swap(true, Ordering::AcqRel) {
+            for waker in &self.wakers {
+                waker.wake();
+            }
+        }
     }
 }
 
+/// What stands between a [`ChanConn`]'s `send` and its peer's inbox: given
+/// the inbox and a frame, delivers it now, later, twice or never.
+pub(crate) type Route = Arc<dyn Fn(&Mailbox<Bytes>, Bytes) + Send + Sync>;
+
+/// How often a blocked receiver looks at the close flag: a close by the
+/// peer leaves the channel endpoints alive, so nothing else wakes it.
+const CLOSE_POLL: Duration = Duration::from_millis(50);
+
+/// Frames handed to the reactor per visit, so one firehose peer cannot
+/// monopolise its thread.
+const MAX_FRAMES_PER_VISIT: usize = 256;
+
 /// One half of an in-process duplex connection.
 ///
-/// Sending pushes into the outbox; receiving pops from the inbox. For a
-/// loopback pair, A's outbox *is* B's inbox. For a simulated pair, the
-/// outbox feeds the sim scheduler which later forwards into the peer inbox.
+/// Sending delivers into the peer's inbox — directly for a loopback pair,
+/// through the `Route` (the sim scheduler) for a simulated one.
+/// Receiving pops from this half's own inbox.
+///
+/// [`Conn::close`] ends both halves at once: frames still in the sim
+/// scheduler are lost to it. Dropping a half does not — the peer reads
+/// what was sent, in flight included, and only then `Closed`.
 pub struct ChanConn {
-    tx: Sender<Bytes>,
-    rx: Receiver<Bytes>,
-    closed: Arc<CloseFlag>,
+    out: Mailbox<Bytes>,
+    route: Option<Route>,
+    inbox: Inbox<Bytes>,
+    pub(crate) closed: Arc<CloseFlag>,
     peer: Option<Endpoint>,
 }
 
 impl ChanConn {
-    /// Builds a connection half from its channel ends.
-    pub fn new(
-        tx: Sender<Bytes>,
-        rx: Receiver<Bytes>,
-        closed: Arc<CloseFlag>,
-        peer: Option<Endpoint>,
-    ) -> ChanConn {
-        ChanConn {
-            tx,
-            rx,
-            closed,
-            peer,
-        }
-    }
-
     /// Creates a directly wired pair of connection halves (no middleman).
     pub fn pair(a_peer: Option<Endpoint>, b_peer: Option<Endpoint>) -> (ChanConn, ChanConn) {
-        let (a_tx, b_rx) = unbounded();
-        let (b_tx, a_rx) = unbounded();
-        let closed = Arc::new(CloseFlag::default());
-        (
-            ChanConn::new(a_tx, a_rx, Arc::clone(&closed), a_peer),
-            ChanConn::new(b_tx, b_rx, closed, b_peer),
-        )
+        ChanConn::pair_via(None, a_peer, b_peer)
+    }
+
+    /// Creates a pair whose frames, in both directions, travel by `route`.
+    pub(crate) fn pair_via(
+        route: Option<Route>,
+        a_peer: Option<Endpoint>,
+        b_peer: Option<Endpoint>,
+    ) -> (ChanConn, ChanConn) {
+        let (to_a, a_inbox) = Mailbox::new();
+        let (to_b, b_inbox) = Mailbox::new();
+        let closed = Arc::new(CloseFlag {
+            closed: AtomicBool::new(false),
+            wakers: [Arc::clone(&a_inbox.slot), Arc::clone(&b_inbox.slot)],
+        });
+        let half = |out, inbox, peer| ChanConn {
+            out,
+            route: route.clone(),
+            inbox,
+            closed: Arc::clone(&closed),
+            peer,
+        };
+        (half(to_b, a_inbox, a_peer), half(to_a, b_inbox, b_peer))
+    }
+
+    /// Receives until `deadline` (forever if `None`), noticing a close.
+    fn recv_until(&self, deadline: Option<Instant>) -> Result<Bytes> {
+        loop {
+            let step = deadline.map_or(CLOSE_POLL, |d| {
+                d.saturating_duration_since(Instant::now()).min(CLOSE_POLL)
+            });
+            match self.inbox.rx.recv_timeout(step) {
+                Ok(f) => return Ok(f),
+                Err(RecvTimeoutError::Timeout) => {
+                    if self.closed.is_closed() && self.inbox.rx.is_empty() {
+                        return Err(TransportError::Closed);
+                    }
+                    if deadline.is_some_and(|d| Instant::now() >= d) {
+                        return Err(TransportError::Timeout);
+                    }
+                }
+                Err(RecvTimeoutError::Disconnected) => return Err(TransportError::Closed),
+            }
+        }
     }
 }
 
@@ -80,48 +215,23 @@ impl Conn for ChanConn {
         if self.closed.is_closed() {
             return Err(TransportError::Closed);
         }
-        match self.tx.try_send(frame) {
-            Ok(()) => Ok(()),
-            Err(TrySendError::Disconnected(_)) => Err(TransportError::Closed),
-            Err(TrySendError::Full(_)) => unreachable!("unbounded channel is never full"),
+        match &self.route {
+            Some(route) => route(&self.out, frame),
+            None => {
+                if !self.out.deliver(frame) {
+                    return Err(TransportError::Closed);
+                }
+            }
         }
+        Ok(())
     }
 
     fn recv(&self) -> Result<Bytes> {
-        // Poll with a coarse period so that a close() by the peer wakes us
-        // up even though the channel endpoints themselves stay alive.
-        loop {
-            match self.rx.recv_timeout(Duration::from_millis(50)) {
-                Ok(f) => return Ok(f),
-                Err(RecvTimeoutError::Timeout) => {
-                    if self.closed.is_closed() && self.rx.is_empty() {
-                        return Err(TransportError::Closed);
-                    }
-                }
-                Err(RecvTimeoutError::Disconnected) => return Err(TransportError::Closed),
-            }
-        }
+        self.recv_until(None)
     }
 
     fn recv_timeout(&self, timeout: Duration) -> Result<Bytes> {
-        let deadline = std::time::Instant::now() + timeout;
-        loop {
-            let step = deadline
-                .saturating_duration_since(std::time::Instant::now())
-                .min(Duration::from_millis(50));
-            match self.rx.recv_timeout(step) {
-                Ok(f) => return Ok(f),
-                Err(RecvTimeoutError::Timeout) => {
-                    if self.closed.is_closed() && self.rx.is_empty() {
-                        return Err(TransportError::Closed);
-                    }
-                    if std::time::Instant::now() >= deadline {
-                        return Err(TransportError::Timeout);
-                    }
-                }
-                Err(RecvTimeoutError::Disconnected) => return Err(TransportError::Closed),
-            }
-        }
+        self.recv_until(Some(Instant::now() + timeout))
     }
 
     fn close(&self) {
@@ -130,6 +240,117 @@ impl Conn for ChanConn {
 
     fn peer(&self) -> Option<Endpoint> {
         self.peer.clone()
+    }
+
+    fn as_pollable(&self) -> Option<&dyn Pollable> {
+        Some(self)
+    }
+}
+
+impl Pollable for ChanConn {
+    fn poll_fd(&self) -> Option<i32> {
+        None
+    }
+
+    fn enter_reactor_mode(&self, waker: ReactorWaker) -> Result<()> {
+        self.inbox.slot.set(waker);
+        Ok(())
+    }
+
+    fn drive_read(&self, sink: &mut dyn FnMut(Bytes)) -> Result<ReadDrive> {
+        for _ in 0..MAX_FRAMES_PER_VISIT {
+            match self.inbox.rx.try_recv() {
+                Ok(frame) => sink(frame),
+                Err(TryRecvError::Empty) => {
+                    if !self.closed.is_closed() {
+                        return Ok(ReadDrive::Open);
+                    }
+                    // Closed — unless a frame sent just before the close
+                    // landed after the look above: queued frames drain
+                    // before the close is reported.
+                    if self.inbox.rx.is_empty() {
+                        return Ok(ReadDrive::Closed);
+                    }
+                }
+                Err(TryRecvError::Disconnected) => return Ok(ReadDrive::Closed),
+            }
+        }
+        // Cap reached with the inbox possibly still holding frames, and no
+        // fd whose rearm would report them: ask for another visit.
+        self.inbox.slot.wake();
+        Ok(ReadDrive::Open)
+    }
+
+    /// Nothing to flush: `send` already put the frame in the peer's inbox.
+    fn drive_write(&self) -> Result<FlushReport> {
+        Ok(FlushReport::default())
+    }
+}
+
+/// The listener of an in-process transport: a queue of server halves that
+/// the transport's `connect` delivers into.
+pub(crate) struct ChanListener {
+    local: Endpoint,
+    incoming: Inbox<Box<dyn Conn>>,
+    /// Takes this listener's name out of its transport's namespace.
+    unlisten: Box<dyn Fn() + Send + Sync>,
+}
+
+impl ChanListener {
+    /// Creates a listener known as `local`, and the mailbox through which
+    /// its transport hands it the server half of each new connection.
+    pub(crate) fn new(
+        local: Endpoint,
+        unlisten: impl Fn() + Send + Sync + 'static,
+    ) -> (ChanListener, Mailbox<Box<dyn Conn>>) {
+        let (mailbox, incoming) = Mailbox::new();
+        let unlisten = Box::new(unlisten);
+        let listener = ChanListener {
+            local,
+            incoming,
+            unlisten,
+        };
+        (listener, mailbox)
+    }
+}
+
+impl Listener for ChanListener {
+    fn accept(&self) -> Result<Box<dyn Conn>> {
+        self.incoming.rx.recv().map_err(|_| TransportError::Closed)
+    }
+
+    fn local_endpoint(&self) -> Endpoint {
+        self.local.clone()
+    }
+
+    fn close(&self) {
+        // Dropping the namespace's mailbox disconnects `incoming`, and
+        // wakes the reactor to see it.
+        (self.unlisten)();
+    }
+
+    fn as_pollable(&self) -> Option<&dyn PollableListener> {
+        Some(self)
+    }
+}
+
+impl PollableListener for ChanListener {
+    fn poll_fd(&self) -> Option<i32> {
+        None
+    }
+
+    fn enter_reactor_mode(&self, waker: ReactorWaker) -> Result<()> {
+        self.incoming.slot.set(waker);
+        Ok(())
+    }
+
+    fn accept_nonblocking(&self) -> Result<AcceptPoll> {
+        match self.incoming.rx.try_recv() {
+            Ok(conn) => Ok(AcceptPoll::Conn(conn)),
+            Err(TryRecvError::Empty) => Ok(AcceptPoll::WouldBlock),
+            // Unlistened, and every connection made before that accepted.
+            Err(TryRecvError::Disconnected) => Err(TransportError::Closed),
+        }
     }
 }
 

@@ -299,6 +299,21 @@ impl VirtualClock {
         ActivityHold { clock: self }
     }
 
+    /// Counts one piece of work queued for another thread (a wake-up on a
+    /// reactor's list) until [`VirtualClock::work_taken`]. It suppresses
+    /// auto-advance as a [`hold`](VirtualClock::hold) does but belongs to
+    /// no thread: the queuer typically goes on to wait, on this clock, for
+    /// the answer, and that wait suspends only the holds it owns.
+    pub fn work_queued(&self) {
+        self.holds.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// `n` pieces of [queued](VirtualClock::work_queued) work were taken.
+    pub fn work_taken(&self, n: u64) {
+        self.holds.fetch_sub(n, Ordering::Relaxed);
+        self.note_activity();
+    }
+
     /// Registers a deadline (an instant on this clock) that some thread is
     /// waiting for; auto-advance will not jump past the earliest one.
     /// Returns a token for [`VirtualClock::deregister`].
@@ -500,6 +515,28 @@ mod tests {
         tx.send(7).unwrap();
         drop(hold);
         assert_eq!(h.join().unwrap().unwrap(), 7);
+    }
+
+    #[test]
+    fn queued_work_defers_auto_advance_while_its_queuer_waits() {
+        // The thread that queued the work is the one waiting on the clock:
+        // unlike a hold of its own, the queued work is not suspended by that
+        // wait, so its 60s deadline cannot pass before the work is taken.
+        let (tx, rx) = crossbeam::channel::unbounded::<u8>();
+        let c = Arc::new(VirtualClock::new());
+        c.work_queued();
+        let taker = {
+            let c = Arc::clone(&c);
+            std::thread::spawn(move || {
+                std::thread::sleep(Duration::from_millis(20));
+                tx.send(7).unwrap();
+                c.work_taken(1);
+            })
+        };
+        assert_eq!(recv_deadline(&*c, &rx, Duration::from_secs(60)), Ok(7));
+        taker.join().unwrap();
+        // Taken: the clock is free to move again.
+        c.sleep(Duration::from_secs(1));
     }
 
     #[test]

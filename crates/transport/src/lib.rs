@@ -87,10 +87,10 @@ pub trait Conn: Send + Sync {
     /// The remote endpoint this connection talks to, if known.
     fn peer(&self) -> Option<Endpoint>;
 
-    /// The connection's readiness handle, if it can be driven by the
-    /// [`reactor::Reactor`] instead of blocking threads. In-process
-    /// transports (loopback, SimNet, channels) return `None` and keep the
-    /// blocking model — that is what preserves virtual-time determinism.
+    /// The connection's non-blocking side, through which a
+    /// [`reactor::Reactor`] serves it. Every transport in this crate has
+    /// one; `None` (the default) is for a connection that only ever has a
+    /// blocking caller, such as a client-side wrapper in a test.
     fn as_pollable(&self) -> Option<&dyn reactor::Pollable> {
         None
     }
@@ -108,9 +108,9 @@ pub trait Listener: Send + Sync {
     /// [`TransportError::Closed`].
     fn close(&self);
 
-    /// The listener's readiness handle, if the [`reactor::Reactor`] can
-    /// accept from it without blocking. `None` keeps the blocking
-    /// accept-thread model.
+    /// The listener's non-blocking side, through which a
+    /// [`reactor::Reactor`] accepts from it. A listener without one cannot
+    /// be served from.
     fn as_pollable(&self) -> Option<&dyn reactor::PollableListener> {
         None
     }

@@ -7,10 +7,9 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::Mutex;
 
-use crate::chan::ChanConn;
+use crate::chan::{ChanConn, ChanListener, Mailbox};
 use crate::endpoint::Endpoint;
 use crate::error::TransportError;
 use crate::{Conn, Listener, Result, Transport};
@@ -21,7 +20,7 @@ use crate::{Conn, Listener, Result, Transport};
 /// and register it in multiple registries to share the namespace.
 #[derive(Default)]
 pub struct Loopback {
-    listeners: Mutex<HashMap<String, Sender<Box<dyn Conn>>>>,
+    listeners: Mutex<HashMap<String, Mailbox<Box<dyn Conn>>>>,
 }
 
 impl Loopback {
@@ -31,57 +30,37 @@ impl Loopback {
     }
 }
 
-struct LoopListener {
-    name: String,
-    incoming: Receiver<Box<dyn Conn>>,
-    owner: Arc<Loopback>,
-}
-
-impl Listener for LoopListener {
-    fn accept(&self) -> Result<Box<dyn Conn>> {
-        self.incoming.recv().map_err(|_| TransportError::Closed)
-    }
-
-    fn local_endpoint(&self) -> Endpoint {
-        Endpoint::loopback(self.name.clone())
-    }
-
-    fn close(&self) {
-        self.owner.listeners.lock().remove(&self.name);
-    }
-}
-
 impl Transport for Arc<Loopback> {
     fn scheme(&self) -> &str {
         "loop"
     }
 
     fn connect(&self, ep: &Endpoint) -> Result<Box<dyn Conn>> {
-        let tx = {
+        let refused = || TransportError::ConnectionRefused(ep.to_string());
+        let accept = {
             let listeners = self.listeners.lock();
-            listeners
-                .get(ep.addr())
-                .cloned()
-                .ok_or_else(|| TransportError::ConnectionRefused(ep.to_string()))?
+            listeners.get(ep.addr()).cloned().ok_or_else(refused)?
         };
         let (client, server) = ChanConn::pair(Some(ep.clone()), None);
-        tx.send(Box::new(server))
-            .map_err(|_| TransportError::ConnectionRefused(ep.to_string()))?;
+        if !accept.deliver(Box::new(server)) {
+            return Err(refused());
+        }
         Ok(Box::new(client))
     }
 
     fn listen(&self, ep: &Endpoint) -> Result<Box<dyn Listener>> {
-        let (tx, rx) = unbounded();
+        let name = ep.addr().to_owned();
         let mut listeners = self.listeners.lock();
-        if listeners.contains_key(ep.addr()) {
+        if listeners.contains_key(&name) {
             return Err(TransportError::AddressInUse(ep.to_string()));
         }
-        listeners.insert(ep.addr().to_owned(), tx);
-        Ok(Box::new(LoopListener {
-            name: ep.addr().to_owned(),
-            incoming: rx,
-            owner: Arc::clone(self),
-        }))
+        let owner = Arc::clone(self);
+        let (listener, mailbox) = ChanListener::new(Endpoint::loopback(name.clone()), {
+            let name = name.clone();
+            move || drop(owner.listeners.lock().remove(&name))
+        });
+        listeners.insert(name, mailbox);
+        Ok(Box::new(listener))
     }
 }
 

@@ -1,13 +1,12 @@
 //! The readiness-driven reactor: one thread, many connections.
 //!
-//! The original runtime (and this reproduction, until the reactor landed)
-//! dedicated a reader thread to every accepted connection. That model is
-//! simple and keeps slow peers isolated, but it caps a server at a few
-//! thousand clients — far short of the "serves millions of users" ambition
-//! the paper's successors grew into. The [`Reactor`] replaces those
-//! threads with a single event loop over an epoll-style readiness poller
+//! The original runtime dedicated a reader thread to every accepted
+//! connection. That model is simple and keeps slow peers isolated, but it
+//! caps a server at a few thousand clients — far short of the "serves
+//! millions of users" ambition the paper's successors grew into. The
+//! [`Reactor`] is a single event loop over an epoll-style readiness poller
 //! (see the vendored `polling` shim): connections register *interest*,
-//! the loop wakes when the kernel reports readiness, and per-connection
+//! the loop wakes when a connection is ready, and per-connection
 //! **drivers** (state machines supplied by the layer above) consume
 //! decoded frames on the reactor thread.
 //!
@@ -21,12 +20,14 @@
 //!   (frame in → optional replies out via the ordinary [`Conn::send`])
 //!   and [`AcceptDriver`] (new connection → its driver).
 //!
-//! A connection must opt in by implementing [`Pollable`] (today: TCP).
-//! Transports without a readiness handle — loopback, SimNet, in-process
-//! channels — simply return `None` from [`Conn::as_pollable`] and keep
-//! being driven by blocking threads, which is what preserves the
-//! virtual-time determinism of the simulation suites: the reactor is an
-//! execution substrate for real sockets, not a semantic change.
+//! Every transport's server half is [`Pollable`], and readiness reaches
+//! the loop one of two ways. A socket has a file descriptor
+//! ([`Pollable::poll_fd`] is `Some`): the kernel reports it through the
+//! poller. An in-process connection ([`crate::chan`]: loopback, SimNet)
+//! has none: whoever puts a frame in its inbox, or closes it, announces
+//! that through the [`ReactorWaker`] the connection was given — *software
+//! readiness*, carried by the poller's notifier. Past that point the loop
+//! does not know which kind it is driving.
 
 use std::collections::HashMap;
 use std::io;
@@ -38,6 +39,7 @@ use bytes::Bytes;
 use parking_lot::Mutex;
 use polling::{Event, Events, Poller};
 
+use crate::clock::ClockHandle;
 use crate::{Conn, Listener, Result};
 
 /// What a [`Pollable::drive_read`] call observed.
@@ -63,19 +65,22 @@ pub struct FlushReport {
     pub pending: bool,
 }
 
-/// A connection that can be driven by the [`Reactor`]: it exposes an OS
-/// readiness handle and non-blocking read/write entry points.
+/// A connection that can be driven by the [`Reactor`]: it has a source of
+/// readiness and non-blocking read/write entry points.
 ///
-/// Entering reactor mode redirects [`Conn::send`] into an outbound queue
-/// drained by [`Pollable::drive_write`]; `recv` becomes unavailable
-/// (frames are pushed to the registered [`ConnDriver`] instead).
+/// Once in reactor mode, frames are pushed to the registered
+/// [`ConnDriver`] instead of being handed out by `recv`, and a
+/// [`Conn::send`] the connection cannot complete at once is queued for
+/// [`Pollable::drive_write`].
 pub trait Pollable: Send + Sync {
-    /// The raw readiness handle (a file descriptor on unix).
-    fn poll_fd(&self) -> i32;
+    /// The OS readiness handle (a file descriptor on unix) the poller
+    /// should watch, or `None` for a connection that announces its own
+    /// readiness through [`ReactorWaker::wake_read`].
+    fn poll_fd(&self) -> Option<i32>;
 
     /// Switches the connection to non-blocking, reactor-managed mode and
-    /// installs the waker that `send` uses to schedule a flush.
-    fn enter_reactor_mode(&self, waker: WriteWaker) -> Result<()>;
+    /// installs the waker through which it asks the reactor for a visit.
+    fn enter_reactor_mode(&self, waker: ReactorWaker) -> Result<()>;
 
     /// Reads whatever is available without blocking, pushing each complete
     /// decoded frame into `sink`. Framing errors are returned (the caller
@@ -84,18 +89,17 @@ pub trait Pollable: Send + Sync {
 
     /// Flushes queued outbound frames with coalesced vectored writes.
     fn drive_write(&self) -> Result<FlushReport>;
-
-    /// True if outbound frames are still queued.
-    fn has_pending_writes(&self) -> bool;
 }
 
 /// A listener that can hand out connections without blocking.
 pub trait PollableListener: Send + Sync {
-    /// The raw readiness handle (a file descriptor on unix).
-    fn poll_fd(&self) -> i32;
+    /// As [`Pollable::poll_fd`].
+    fn poll_fd(&self) -> Option<i32>;
 
-    /// Switches the listener to non-blocking mode.
-    fn enter_reactor_mode(&self) -> Result<()>;
+    /// Switches the listener to non-blocking mode; an fd-less listener
+    /// keeps `waker` and calls [`ReactorWaker::wake_read`] when a
+    /// connection is waiting to be accepted.
+    fn enter_reactor_mode(&self, waker: ReactorWaker) -> Result<()>;
 
     /// Accepts one pending connection. The three non-error outcomes are
     /// distinguished because they need different rearm policies (see
@@ -174,22 +178,29 @@ pub struct ReactorSnapshot {
     pub accepted: u64,
 }
 
-/// Handle a [`Pollable`] connection uses to tell the reactor "I have
-/// queued outbound frames; flush me on your next wakeup".
+/// Handle through which a registered connection or listener asks the
+/// reactor for a visit on its next wakeup. Cheap and non-blocking; safe
+/// to call from any thread. Calls after the reactor died are ignored.
 #[derive(Clone)]
-pub struct WriteWaker {
+pub struct ReactorWaker {
     shared: Weak<Shared>,
     token: usize,
 }
 
-impl WriteWaker {
-    /// Schedules a flush of this connection. Cheap and non-blocking; safe
-    /// to call from any thread (typically a worker that just queued a
-    /// reply). Calls after the reactor died are ignored.
-    pub fn wake(&self) {
+impl ReactorWaker {
+    /// "I have queued outbound frames; flush me" (typically from a worker
+    /// that just queued a reply).
+    pub fn wake_write(&self) {
         if let Some(shared) = self.shared.upgrade() {
-            shared.write_pending.lock().push(self.token);
-            let _ = shared.poller.notify();
+            shared.wake(&shared.write_pending, self.token);
+        }
+    }
+
+    /// "I have something to read (or accept), or I was closed" — the
+    /// software stand-in for the poller reporting a readable fd.
+    pub fn wake_read(&self) {
+        if let Some(shared) = self.shared.upgrade() {
+            shared.wake(&shared.read_ready, self.token);
         }
     }
 }
@@ -210,6 +221,13 @@ struct Shared {
     ops: Mutex<Vec<Op>>,
     /// Tokens whose connections have queued outbound frames.
     write_pending: Mutex<Vec<usize>>,
+    /// Tokens of fd-less connections and listeners that announced
+    /// readiness themselves ([`ReactorWaker::wake_read`]).
+    read_ready: Mutex<Vec<usize>>,
+    /// The clock the callers served here wait on. A virtual one must not
+    /// run ahead while a wake-up sits on either list: the frame behind it
+    /// is work in progress that no thread is doing yet.
+    clock: ClockHandle,
     shutdown: AtomicBool,
     registered: AtomicUsize,
     accepted: AtomicU64,
@@ -218,6 +236,32 @@ struct Shared {
     wakeups: AtomicU64,
     readiness_depth: AtomicUsize,
     readiness_high_water: AtomicUsize,
+}
+
+impl Shared {
+    /// Puts `token` on one of the two wake lists and interrupts the poll.
+    fn wake(&self, list: &Mutex<Vec<usize>>, token: usize) {
+        {
+            let mut list = list.lock();
+            // Checked under the lock the exiting loop empties the list
+            // under: nothing is queued, or counted, that nobody will take.
+            if self.shutdown.load(Ordering::Acquire) {
+                return;
+            }
+            list.push(token);
+            if let Some(vc) = self.clock.as_virtual() {
+                vc.work_queued();
+            }
+        }
+        let _ = self.poller.notify();
+    }
+
+    /// `n` wake-ups taken off a list have been acted on.
+    fn visited(&self, n: usize) {
+        if let Some(vc) = self.clock.as_virtual() {
+            vc.work_taken(n as u64);
+        }
+    }
 }
 
 /// Accepts at most this many connections per listener readiness visit, so
@@ -235,18 +279,23 @@ pub struct Reactor {
 }
 
 impl Reactor {
-    /// The tick period servers use: matches the 500 ms bounded-recv sweep
-    /// cadence of the thread-per-connection path it replaces.
+    /// The tick period servers use: how often an idle connection's
+    /// expired ack obligations are swept.
     pub const DEFAULT_TICK: Duration = Duration::from_millis(500);
 
-    /// Starts the event loop on its own thread. Fails where no readiness
-    /// backend exists (the caller then falls back to blocking threads).
-    pub fn start(tick: Duration) -> Result<Reactor> {
+    /// Starts the event loop on its own thread. Fails with the poller's
+    /// `Unsupported` error where no readiness backend exists (anywhere but
+    /// Linux): there is no other way to serve. The loop runs in real time
+    /// whatever `clock` is; a virtual one is only told of wake-ups the
+    /// loop has yet to act on.
+    pub fn start(tick: Duration, clock: ClockHandle) -> Result<Reactor> {
         let poller = Poller::new().map_err(io_err)?;
         let shared = Arc::new(Shared {
             poller,
             ops: Mutex::new(Vec::new()),
             write_pending: Mutex::new(Vec::new()),
+            read_ready: Mutex::new(Vec::new()),
+            clock,
             shutdown: AtomicBool::new(false),
             registered: AtomicUsize::new(0),
             accepted: AtomicU64::new(0),
@@ -273,7 +322,7 @@ impl Reactor {
     pub fn register_conn(&self, conn: Arc<dyn Conn>, driver: Box<dyn ConnDriver>) -> Result<()> {
         if conn.as_pollable().is_none() {
             return Err(crate::TransportError::Io(
-                "connection has no readiness handle".into(),
+                "connection cannot be driven by a reactor".into(),
             ));
         }
         self.submit(Op::AddConn { conn, driver })
@@ -289,7 +338,7 @@ impl Reactor {
     ) -> Result<()> {
         if listener.as_pollable().is_none() {
             return Err(crate::TransportError::Io(
-                "listener has no readiness handle".into(),
+                "listener cannot be driven by a reactor".into(),
             ));
         }
         self.submit(Op::AddListener { listener, driver })
@@ -351,7 +400,7 @@ struct ListenerEntry {
 
 /// Loop-private state: only the reactor thread touches the registration
 /// maps, so drivers run without any lock held and may call back into
-/// `Conn::send` (and thus [`WriteWaker::wake`]) freely.
+/// `Conn::send` (and thus a [`ReactorWaker`]) freely.
 struct EventLoop {
     shared: Arc<Shared>,
     tick: Duration,
@@ -392,18 +441,18 @@ impl EventLoop {
             }
             self.integrate_ops();
             self.flush_scheduled();
+            let woken = std::mem::take(&mut *self.shared.read_ready.lock());
+            for &token in &woken {
+                self.visit(token, true, false);
+            }
+            self.shared.visited(woken.len());
             let batch = events.len();
             self.shared.readiness_depth.store(batch, Ordering::Relaxed);
             self.shared
                 .readiness_high_water
                 .fetch_max(batch, Ordering::Relaxed);
             for ev in events.iter() {
-                if self.listeners.contains_key(&ev.key) {
-                    self.handle_accept(ev.key);
-                } else if self.conns.contains_key(&ev.key) {
-                    self.handle_conn(ev.key, ev.readable, ev.writable);
-                }
-                // Unknown keys: readiness that raced a close. Ignore.
+                self.visit(ev.key, ev.readable, ev.writable);
             }
             if last_tick.elapsed() >= self.tick {
                 last_tick = Instant::now();
@@ -428,6 +477,11 @@ impl EventLoop {
         for (_, entry) in self.listeners.drain() {
             entry.listener.close();
         }
+        // Wake-ups that raced shutdown will not be visited (and `wake`
+        // queues no more): stop counting them.
+        for list in [&self.shared.write_pending, &self.shared.read_ready] {
+            self.shared.visited(std::mem::take(&mut *list.lock()).len());
+        }
         // Reject registrations that raced shutdown.
         for op in self.shared.ops.lock().drain(..) {
             match op {
@@ -440,60 +494,83 @@ impl EventLoop {
         }
     }
 
+    /// Readiness for `token`, from the poller or announced in software.
+    fn visit(&mut self, token: usize, readable: bool, writable: bool) {
+        if self.listeners.contains_key(&token) {
+            self.handle_accept(token);
+        } else if self.conns.contains_key(&token) {
+            self.handle_conn(token, readable, writable);
+        }
+        // Unknown tokens: readiness that raced a close. Ignore.
+    }
+
     fn integrate_ops(&mut self) {
         let ops: Vec<Op> = std::mem::take(&mut *self.shared.ops.lock());
         for op in ops {
             match op {
                 Op::AddConn { conn, driver } => self.add_conn(conn, driver),
                 Op::AddListener { listener, driver } => {
-                    let token = self.alloc_token();
-                    let ok = listener.as_pollable().is_some_and(|p| {
-                        p.enter_reactor_mode().is_ok()
-                            && self
-                                .shared
-                                .poller
-                                .add(p.poll_fd(), Event::readable(token))
-                                .is_ok()
-                    });
-                    if ok {
-                        self.listeners
-                            .insert(token, ListenerEntry { listener, driver });
-                    } else {
-                        listener.close();
+                    let (token, waker) = self.alloc_token();
+                    let entered = listener
+                        .as_pollable()
+                        .and_then(|p| p.enter_reactor_mode(waker).ok().map(|()| p.poll_fd()));
+                    match entered {
+                        Some(fd) if self.watch(fd, token) => {
+                            self.listeners
+                                .insert(token, ListenerEntry { listener, driver });
+                            if fd.is_none() {
+                                self.handle_accept(token);
+                            }
+                        }
+                        _ => listener.close(),
                     }
                 }
             }
         }
     }
 
-    fn alloc_token(&mut self) -> usize {
-        let t = self.next_token;
+    fn alloc_token(&mut self) -> (usize, ReactorWaker) {
+        let token = self.next_token;
         self.next_token += 1;
-        t
-    }
-
-    fn add_conn(&mut self, conn: Arc<dyn Conn>, mut driver: Box<dyn ConnDriver>) {
-        let token = self.alloc_token();
-        let waker = WriteWaker {
+        let waker = ReactorWaker {
             shared: Arc::downgrade(&self.shared),
             token,
         };
-        let ok = conn.as_pollable().is_some_and(|p| {
-            p.enter_reactor_mode(waker).is_ok()
-                && self
-                    .shared
-                    .poller
-                    .add(p.poll_fd(), Event::readable(token))
-                    .is_ok()
-        });
-        if ok {
-            self.conns.insert(token, ConnEntry { conn, driver });
-            self.shared
-                .registered
-                .store(self.conns.len(), Ordering::Relaxed);
-        } else {
-            conn.close();
-            driver.on_close();
+        (token, waker)
+    }
+
+    /// Applies `op` (add, modify, delete) to the poller's registration of
+    /// `fd`; a source without one has none, and that is fine.
+    fn poll(&self, fd: Option<i32>, op: impl FnOnce(&Poller, i32) -> io::Result<()>) -> bool {
+        fd.map_or(true, |fd| op(&self.shared.poller, fd).is_ok())
+    }
+
+    /// Starts watching a newly registered source for readability. One
+    /// without an fd had nobody to report what reached it before its waker
+    /// was installed, so the caller visits it once.
+    fn watch(&self, fd: Option<i32>, token: usize) -> bool {
+        self.poll(fd, |p, fd| p.add(fd, Event::readable(token)))
+    }
+
+    fn add_conn(&mut self, conn: Arc<dyn Conn>, mut driver: Box<dyn ConnDriver>) {
+        let (token, waker) = self.alloc_token();
+        let entered = conn
+            .as_pollable()
+            .and_then(|p| p.enter_reactor_mode(waker).ok().map(|()| p.poll_fd()));
+        match entered {
+            Some(fd) if self.watch(fd, token) => {
+                self.conns.insert(token, ConnEntry { conn, driver });
+                self.shared
+                    .registered
+                    .store(self.conns.len(), Ordering::Relaxed);
+                if fd.is_none() {
+                    self.handle_conn(token, true, false);
+                }
+            }
+            _ => {
+                conn.close();
+                driver.on_close();
+            }
         }
     }
 
@@ -501,12 +578,11 @@ impl EventLoop {
     /// wakeup. One coalesced flush covers every frame queued so far —
     /// this is where "many replies, one syscall" happens for pool replies.
     fn flush_scheduled(&mut self) {
-        let pending: Vec<usize> = std::mem::take(&mut *self.shared.write_pending.lock());
-        for token in pending {
-            if self.conns.contains_key(&token) {
-                self.flush_conn(token);
-            }
+        let pending = std::mem::take(&mut *self.shared.write_pending.lock());
+        for &token in &pending {
+            self.flush_conn(token); // a token that raced a close is ignored
         }
+        self.shared.visited(pending.len());
     }
 
     /// Flushes one connection; closes it on write failure. Returns whether
@@ -530,14 +606,9 @@ impl EventLoop {
                 if report.pending {
                     // Socket buffer full: let readiness re-arm below; the
                     // writable interest is set by the caller's rearm.
-                    let _ = self
-                        .shared
-                        .poller
-                        .modify(pollable.poll_fd(), Event::all(token));
-                    true
-                } else {
-                    false
+                    self.poll(pollable.poll_fd(), |p, fd| p.modify(fd, Event::all(token)));
                 }
+                report.pending
             }
             Err(_) => {
                 self.close_conn(token);
@@ -549,6 +620,7 @@ impl EventLoop {
     fn handle_accept(&mut self, token: usize) {
         let mut closed = false;
         let mut defer = false;
+        let mut capped = true;
         for _ in 0..MAX_ACCEPTS_PER_VISIT {
             // Split-borrow dance: accept first, then (separately) register.
             let accepted = {
@@ -563,7 +635,10 @@ impl EventLoop {
                         let conn: Arc<dyn Conn> = Arc::from(conn);
                         entry.driver.on_accept(Arc::clone(&conn)).map(|d| (conn, d))
                     }
-                    Ok(AcceptPoll::WouldBlock) => break,
+                    Ok(AcceptPoll::WouldBlock) => {
+                        capped = false;
+                        break;
+                    }
                     Ok(AcceptPoll::Retry) => {
                         defer = true;
                         break;
@@ -578,13 +653,15 @@ impl EventLoop {
                 self.add_conn(conn, driver);
             }
         }
+        let entry = self.listeners.get(&token).expect("listener exists");
+        let fd = entry
+            .listener
+            .as_pollable()
+            .expect("registered listeners are pollable")
+            .poll_fd();
         if closed {
-            if let Some(entry) = self.listeners.remove(&token) {
-                let fd = entry.listener.as_pollable().map(|p| p.poll_fd());
-                if let Some(fd) = fd {
-                    let _ = self.shared.poller.delete(fd);
-                }
-            }
+            self.poll(fd, |p, fd| p.delete(fd));
+            self.listeners.remove(&token);
             return;
         }
         if defer {
@@ -595,19 +672,12 @@ impl EventLoop {
             self.deferred_accepts.push(token);
             return;
         }
-        let entry = self.listeners.get(&token).expect("listener exists");
-        let fd = entry
-            .listener
-            .as_pollable()
-            .expect("registered listeners are pollable")
-            .poll_fd();
-        if self
-            .shared
-            .poller
-            .modify(fd, Event::readable(token))
-            .is_err()
-        {
+        if !self.poll(fd, |p, fd| p.modify(fd, Event::readable(token))) {
             self.listeners.remove(&token);
+        } else if capped && fd.is_none() {
+            // The rearm re-reports an fd whose backlog outlasted the cap;
+            // a listener without one has to be asked for again.
+            self.shared.wake(&self.shared.read_ready, token);
         }
     }
 
@@ -627,7 +697,7 @@ impl EventLoop {
                 Ok(ReadDrive::Closed) | Err(_) => eof = true,
             }
             // Phase 2: deliver frames to the driver. The driver may call
-            // `Conn::send` (queuing replies) and `WriteWaker::wake`.
+            // `Conn::send` (queuing replies) and `ReactorWaker::wake_write`.
             let mut close_requested = false;
             for frame in self.frames.drain(..) {
                 if close_requested {
@@ -671,16 +741,15 @@ impl EventLoop {
         } else {
             Event::readable(token)
         };
-        if self.shared.poller.modify(fd, interest).is_err() {
+        if !self.poll(fd, |p, fd| p.modify(fd, interest)) {
             self.close_conn(token);
         }
     }
 
     fn close_conn(&mut self, token: usize) {
         if let Some(mut entry) = self.conns.remove(&token) {
-            if let Some(p) = entry.conn.as_pollable() {
-                let _ = self.shared.poller.delete(p.poll_fd());
-            }
+            let fd = entry.conn.as_pollable().and_then(|p| p.poll_fd());
+            self.poll(fd, |p, fd| p.delete(fd));
             entry.conn.close();
             entry.driver.on_close();
             self.shared
@@ -730,7 +799,7 @@ mod tests {
     }
 
     fn echo_server() -> (Reactor, Endpoint, Arc<AtomicUsize>) {
-        let reactor = Reactor::start(Duration::from_millis(50)).unwrap();
+        let reactor = Reactor::start(Duration::from_millis(50), ClockHandle::system()).unwrap();
         let listener: Arc<dyn Listener> =
             Arc::from(Tcp.listen(&Endpoint::tcp("127.0.0.1:0")).unwrap());
         let ep = listener.local_endpoint();
@@ -809,6 +878,191 @@ mod tests {
         wait_until(|| reactor.stats().connections == 0);
         wait_until(|| closes.load(Ordering::SeqCst) == N);
         assert_eq!(reactor.stats().accepted, N as u64);
+    }
+
+    /// A reactor that only wake-ups move: its tick never comes, so a lost
+    /// software wake-up shows as a hang, not as half a second's delay.
+    fn tickless_reactor() -> Reactor {
+        Reactor::start(Duration::from_secs(3600), ClockHandle::system()).unwrap()
+    }
+
+    /// The in-process transports, each with a name to listen at.
+    fn in_process_transports() -> [(Box<dyn Transport>, Endpoint); 2] {
+        [
+            (
+                Box::new(crate::loopback::Loopback::new()),
+                Endpoint::loopback("srv"),
+            ),
+            (
+                Box::new(crate::sim::SimNet::instant()),
+                Endpoint::sim("srv"),
+            ),
+        ]
+    }
+
+    fn numbered(i: u32) -> Bytes {
+        Bytes::from(i.to_le_bytes().to_vec())
+    }
+
+    /// Frames that reached the inbox before the connection had a waker
+    /// were announced to nobody, and more of them than one visit takes
+    /// (256) outlast that visit with no fd to re-report them: registration
+    /// must look, and a capped visit must ask for the next.
+    #[test]
+    fn frames_queued_before_registration_are_all_served() {
+        for (transport, ep) in in_process_transports() {
+            let listener = transport.listen(&ep).unwrap();
+            let client = transport.connect(&ep).unwrap();
+            let server: Arc<dyn Conn> = Arc::from(listener.accept().unwrap());
+            const N: u32 = 1000;
+            for i in 0..N {
+                client.send(numbered(i)).unwrap();
+            }
+            let reactor = tickless_reactor();
+            let driver = Echo {
+                conn: Arc::clone(&server),
+                closes: Arc::default(),
+            };
+            reactor.register_conn(server, Box::new(driver)).unwrap();
+            for i in 0..N {
+                let echoed = client.recv_timeout(Duration::from_secs(5));
+                assert_eq!(echoed, Ok(numbered(i)), "{ep}");
+            }
+        }
+    }
+
+    /// The same two holes, on the accept side: connections made before the
+    /// listener had a waker, and more of them than one visit accepts (256).
+    #[test]
+    fn connections_made_before_registration_are_all_accepted() {
+        for (transport, ep) in in_process_transports() {
+            let listener: Arc<dyn Listener> = Arc::from(transport.listen(&ep).unwrap());
+            let clients: Vec<_> = (0..300u32)
+                .map(|i| {
+                    let client = transport.connect(&ep).unwrap();
+                    client.send(numbered(i)).unwrap();
+                    client
+                })
+                .collect();
+            let reactor = tickless_reactor();
+            let accept = EchoAccept {
+                closes: Arc::default(),
+            };
+            reactor
+                .register_listener(listener, Box::new(accept))
+                .unwrap();
+            for (i, client) in clients.iter().enumerate() {
+                let echoed = client.recv_timeout(Duration::from_secs(5));
+                assert_eq!(echoed, Ok(numbered(i as u32)), "{ep}");
+            }
+            assert_eq!(reactor.stats().accepted, 300);
+        }
+    }
+
+    /// A close has no frame to announce it; the closing half wakes the
+    /// other half's reactor itself, and so does a half that is dropped.
+    #[test]
+    fn peer_close_and_drop_reach_the_reactor_without_a_tick() {
+        for (transport, ep) in in_process_transports() {
+            let listener: Arc<dyn Listener> = Arc::from(transport.listen(&ep).unwrap());
+            let reactor = tickless_reactor();
+            let closes = Arc::new(AtomicUsize::new(0));
+            let accept = EchoAccept {
+                closes: Arc::clone(&closes),
+            };
+            reactor
+                .register_listener(listener, Box::new(accept))
+                .unwrap();
+            let closed = transport.connect(&ep).unwrap();
+            let dropped = transport.connect(&ep).unwrap();
+            wait_until(|| reactor.stats().connections == 2);
+            closed.close();
+            drop(dropped);
+            wait_until(|| closes.load(Ordering::SeqCst) == 2);
+            assert_eq!(reactor.stats().connections, 0);
+        }
+    }
+
+    /// Dropping a half is not closing it: what it sent before, still in the
+    /// sim scheduler, reaches the other half first — a blocked reader and a
+    /// reactor alike — and the disconnect only after that.
+    #[test]
+    fn frames_in_flight_outlive_the_half_that_sent_them() {
+        use crate::sim::{LinkConfig, SimNet};
+        /// Reports each frame, and `None` for the close.
+        struct Record(crossbeam::channel::Sender<Option<Bytes>>);
+        impl ConnDriver for Record {
+            fn on_frame(&mut self, frame: Bytes) -> Drive {
+                let _ = self.0.send(Some(frame));
+                Drive::Continue
+            }
+            fn on_close(&mut self) {
+                let _ = self.0.send(None);
+            }
+        }
+        let net = SimNet::new(LinkConfig::with_latency(Duration::from_millis(20)));
+        let listener = net.listen(&Endpoint::sim("srv")).unwrap();
+        let patience = Duration::from_secs(5);
+
+        let client = net.connect(&Endpoint::sim("srv")).unwrap();
+        let server = listener.accept().unwrap();
+        client.send(numbered(1)).unwrap();
+        drop(client);
+        assert_eq!(server.recv_timeout(patience), Ok(numbered(1)));
+        assert_eq!(
+            server.recv_timeout(patience),
+            Err(crate::TransportError::Closed)
+        );
+
+        let client = net.connect(&Endpoint::sim("srv")).unwrap();
+        let server = listener.accept().unwrap();
+        let reactor = tickless_reactor();
+        let (seen_tx, seen) = crossbeam::channel::unbounded();
+        reactor
+            .register_conn(Arc::from(server), Box::new(Record(seen_tx)))
+            .unwrap();
+        wait_until(|| reactor.stats().connections == 1);
+        client.send(numbered(2)).unwrap();
+        drop(client);
+        assert_eq!(seen.recv_timeout(patience), Ok(Some(numbered(2))));
+        assert_eq!(seen.recv_timeout(patience), Ok(None));
+    }
+
+    /// A wake-up waiting for a busy reactor is work nobody is doing yet:
+    /// a virtual clock must not take the silence for idleness and run a
+    /// waiting caller past its deadline.
+    #[test]
+    fn queued_wake_ups_hold_a_virtual_clock() {
+        /// Keeps the reactor thread busy, in real time, on every frame.
+        struct Dawdle;
+        impl ConnDriver for Dawdle {
+            fn on_frame(&mut self, _: Bytes) -> Drive {
+                std::thread::sleep(Duration::from_millis(30));
+                Drive::Continue
+            }
+        }
+        let clock = ClockHandle::virtual_clock();
+        let reactor = Reactor::start(Duration::from_secs(3600), clock.clone()).unwrap();
+        let (slow_client, slow_server) = crate::chan::ChanConn::pair(None, None);
+        let (client, server) = crate::chan::ChanConn::pair(None, None);
+        let server: Arc<dyn Conn> = Arc::new(server);
+        let echo = Echo {
+            conn: Arc::clone(&server),
+            closes: Arc::default(),
+        };
+        reactor
+            .register_conn(Arc::new(slow_server), Box::new(Dawdle))
+            .unwrap();
+        reactor.register_conn(server, Box::new(echo)).unwrap();
+        wait_until(|| reactor.stats().connections == 2);
+        for i in 0..5 {
+            slow_client.send(numbered(i)).unwrap();
+            client.send(numbered(i)).unwrap();
+            let echoed = crate::clock::poll_deadline(clock.as_dyn(), Duration::from_secs(1), {
+                |step| client.recv_timeout(step).ok()
+            });
+            assert_eq!(echoed, Some(numbered(i)), "the clock ran ahead");
+        }
     }
 
     #[test]

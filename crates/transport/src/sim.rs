@@ -18,12 +18,11 @@ use std::sync::{Arc, Weak};
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
-use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::{Condvar, Mutex};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-use crate::chan::CloseFlag;
+use crate::chan::{ChanConn, ChanListener, CloseFlag, Mailbox, Route};
 use crate::clock::ClockHandle;
 use crate::endpoint::Endpoint;
 use crate::error::TransportError;
@@ -148,11 +147,10 @@ pub struct SimStats {
     pub duplicated: u64,
 }
 
-#[derive(Debug)]
 struct Scheduled {
     due: Instant,
     seq: u64,
-    dest: Sender<Bytes>,
+    dest: Mailbox<Bytes>,
     frame: Bytes,
 }
 
@@ -178,7 +176,7 @@ impl Ord for Scheduled {
 }
 
 struct SimState {
-    listeners: HashMap<String, Sender<Box<dyn Conn>>>,
+    listeners: HashMap<String, Mailbox<Box<dyn Conn>>>,
     config: LinkConfig,
     down: HashMap<String, bool>,
     /// Established connections per listener tag, for [`SimNet::crash`].
@@ -374,8 +372,8 @@ impl SimNet {
                 if let Some(vc) = self.clock.as_virtual() {
                     vc.note_activity();
                 }
-                // Ignore send errors: receiver may be gone.
-                if s.dest.send(s.frame).is_ok() {
+                // The receiver may be gone; nothing to do about it.
+                if s.dest.deliver(s.frame) {
                     self.delivered.fetch_add(1, Ordering::Relaxed);
                 }
             }
@@ -403,7 +401,7 @@ impl SimNet {
     }
 
     /// Routes one frame according to the fault model.
-    fn route(&self, tag: &str, dest: &Sender<Bytes>, frame: Bytes) {
+    fn route(&self, tag: &str, dest: &Mailbox<Bytes>, frame: Bytes) {
         self.sent.fetch_add(1, Ordering::Relaxed);
         if let Some(vc) = self.clock.as_virtual() {
             vc.note_activity();
@@ -422,7 +420,7 @@ impl SimNet {
         let config = state.config;
         if config.is_instant() {
             drop(state);
-            if dest.send(frame).is_ok() {
+            if dest.deliver(frame) {
                 self.delivered.fetch_add(1, Ordering::Relaxed);
             }
             return;
@@ -471,94 +469,6 @@ impl SimNet {
     }
 }
 
-/// One half of a simulated connection.
-struct SimConn {
-    net: Arc<SimNet>,
-    /// The listener name this connection was made to; partition tag.
-    tag: String,
-    peer_tx: Sender<Bytes>,
-    rx: Receiver<Bytes>,
-    closed: Arc<CloseFlag>,
-    peer: Option<Endpoint>,
-}
-
-impl Conn for SimConn {
-    fn send(&self, frame: Bytes) -> Result<()> {
-        if self.closed.is_closed() {
-            return Err(TransportError::Closed);
-        }
-        self.net.route(&self.tag, &self.peer_tx, frame);
-        Ok(())
-    }
-
-    fn recv(&self) -> Result<Bytes> {
-        loop {
-            match self.rx.recv_timeout(Duration::from_millis(50)) {
-                Ok(f) => return Ok(f),
-                Err(crossbeam::channel::RecvTimeoutError::Timeout) => {
-                    if self.closed.is_closed() && self.rx.is_empty() {
-                        return Err(TransportError::Closed);
-                    }
-                }
-                Err(crossbeam::channel::RecvTimeoutError::Disconnected) => {
-                    return Err(TransportError::Closed)
-                }
-            }
-        }
-    }
-
-    fn recv_timeout(&self, timeout: Duration) -> Result<Bytes> {
-        let deadline = Instant::now() + timeout;
-        loop {
-            let step = deadline
-                .saturating_duration_since(Instant::now())
-                .min(Duration::from_millis(50));
-            match self.rx.recv_timeout(step) {
-                Ok(f) => return Ok(f),
-                Err(crossbeam::channel::RecvTimeoutError::Timeout) => {
-                    if self.closed.is_closed() && self.rx.is_empty() {
-                        return Err(TransportError::Closed);
-                    }
-                    if Instant::now() >= deadline {
-                        return Err(TransportError::Timeout);
-                    }
-                }
-                Err(crossbeam::channel::RecvTimeoutError::Disconnected) => {
-                    return Err(TransportError::Closed)
-                }
-            }
-        }
-    }
-
-    fn close(&self) {
-        self.closed.close();
-    }
-
-    fn peer(&self) -> Option<Endpoint> {
-        self.peer.clone()
-    }
-}
-
-struct SimListener {
-    name: String,
-    incoming: Receiver<Box<dyn Conn>>,
-    net: Arc<SimNet>,
-}
-
-impl Listener for SimListener {
-    fn accept(&self) -> Result<Box<dyn Conn>> {
-        self.incoming.recv().map_err(|_| TransportError::Closed)
-    }
-
-    fn local_endpoint(&self) -> Endpoint {
-        Endpoint::sim(self.name.clone())
-    }
-
-    fn close(&self) {
-        self.net.state.lock().listeners.remove(&self.name);
-    }
-}
-
 impl Transport for Arc<SimNet> {
     fn scheme(&self) -> &str {
         "sim"
@@ -566,7 +476,7 @@ impl Transport for Arc<SimNet> {
 
     fn connect(&self, ep: &Endpoint) -> Result<Box<dyn Conn>> {
         let name = ep.addr().to_owned();
-        let accept_tx = {
+        let accept = {
             let state = self.state.lock();
             if *state.down.get(&name).unwrap_or(&false) {
                 return Err(TransportError::Partitioned);
@@ -577,49 +487,38 @@ impl Transport for Arc<SimNet> {
                 .cloned()
                 .ok_or_else(|| TransportError::ConnectionRefused(ep.to_string()))?
         };
-        let (c2s_tx, c2s_rx) = unbounded();
-        let (s2c_tx, s2c_rx) = unbounded();
-        let closed = Arc::new(CloseFlag::default());
+        // Both directions of the connection cross the fault model, tagged
+        // with the listener's name for the partition switch.
+        let route: Route = {
+            let (net, tag) = (Arc::clone(self), name.clone());
+            Arc::new(move |dest: &Mailbox<Bytes>, frame| net.route(&tag, dest, frame))
+        };
+        let (client, server) = ChanConn::pair_via(Some(route), Some(ep.clone()), None);
         {
             let mut state = self.state.lock();
-            let conns = state.conns.entry(name.clone()).or_default();
+            let conns = state.conns.entry(name).or_default();
             conns.retain(|w| w.upgrade().is_some_and(|f| !f.is_closed()));
-            conns.push(Arc::downgrade(&closed));
+            conns.push(Arc::downgrade(&client.closed));
         }
-        let client = SimConn {
-            net: Arc::clone(self),
-            tag: name.clone(),
-            peer_tx: c2s_tx,
-            rx: s2c_rx,
-            closed: Arc::clone(&closed),
-            peer: Some(ep.clone()),
-        };
-        let server = SimConn {
-            net: Arc::clone(self),
-            tag: name,
-            peer_tx: s2c_tx,
-            rx: c2s_rx,
-            closed,
-            peer: None,
-        };
-        accept_tx
-            .send(Box::new(server))
-            .map_err(|_| TransportError::ConnectionRefused(ep.to_string()))?;
+        if !accept.deliver(Box::new(server)) {
+            return Err(TransportError::ConnectionRefused(ep.to_string()));
+        }
         Ok(Box::new(client))
     }
 
     fn listen(&self, ep: &Endpoint) -> Result<Box<dyn Listener>> {
-        let (tx, rx) = unbounded();
+        let name = ep.addr().to_owned();
         let mut state = self.state.lock();
-        if state.listeners.contains_key(ep.addr()) {
+        if state.listeners.contains_key(&name) {
             return Err(TransportError::AddressInUse(ep.to_string()));
         }
-        state.listeners.insert(ep.addr().to_owned(), tx);
-        Ok(Box::new(SimListener {
-            name: ep.addr().to_owned(),
-            incoming: rx,
-            net: Arc::clone(self),
-        }))
+        let net = Arc::clone(self);
+        let (listener, mailbox) = ChanListener::new(Endpoint::sim(name.clone()), {
+            let name = name.clone();
+            move || drop(net.state.lock().listeners.remove(&name))
+        });
+        state.listeners.insert(name, mailbox);
+        Ok(Box::new(listener))
     }
 }
 

@@ -4,15 +4,16 @@
 //! latency experiments. `TCP_NODELAY` is set, as the original runtime did,
 //! because RPC traffic is latency-bound, not throughput-bound.
 //!
-//! A `TcpConn` runs in one of two modes:
+//! A `TcpConn` runs in one of two modes, one per end of a connection:
 //!
 //! - **Blocking** (the default): `send` writes synchronously, `recv`
-//!   blocks on the socket. Clients and tests use this.
+//!   blocks on the socket. This is the client end: a caller owns it.
 //! - **Reactor-managed**: after [`crate::reactor::Pollable::enter_reactor_mode`]
 //!   the socket is non-blocking; `send` enqueues the frame on an outbound
 //!   queue and wakes the reactor, which flushes many queued frames in one
 //!   vectored write (`drive_write`) and pushes inbound frames to the
 //!   registered driver (`drive_read`). `recv` is unavailable in this mode.
+//!   This is the server end: every accepted connection is served this way.
 
 use std::collections::VecDeque;
 use std::io::{self, IoSlice, Read, Write};
@@ -26,7 +27,9 @@ use parking_lot::Mutex;
 
 use crate::endpoint::Endpoint;
 use crate::error::TransportError;
-use crate::reactor::{AcceptPoll, FlushReport, Pollable, PollableListener, ReadDrive, WriteWaker};
+use crate::reactor::{
+    AcceptPoll, FlushReport, Pollable, PollableListener, ReactorWaker, ReadDrive,
+};
 use crate::{Conn, Listener, Result, Transport};
 
 /// The TCP transport (stateless; connections carry all state).
@@ -96,7 +99,7 @@ struct TcpConn {
     /// True once `enter_reactor_mode` ran; flips `send`/`recv` behaviour.
     reactor_mode: AtomicBool,
     outbound: Mutex<Outbound>,
-    waker: Mutex<Option<WriteWaker>>,
+    waker: Mutex<Option<ReactorWaker>>,
 }
 
 impl TcpConn {
@@ -164,7 +167,7 @@ impl TcpConn {
         };
         if wake {
             if let Some(w) = self.waker.lock().as_ref() {
-                w.wake();
+                w.wake_write();
             }
         }
         Ok(())
@@ -279,12 +282,12 @@ const MAX_FRAMES_PER_WRITEV: usize = 16;
 
 #[cfg(unix)]
 impl Pollable for TcpConn {
-    fn poll_fd(&self) -> i32 {
+    fn poll_fd(&self) -> Option<i32> {
         use std::os::unix::io::AsRawFd;
-        self.writer.lock().as_raw_fd()
+        Some(self.writer.lock().as_raw_fd())
     }
 
-    fn enter_reactor_mode(&self, waker: WriteWaker) -> Result<()> {
+    fn enter_reactor_mode(&self, waker: ReactorWaker) -> Result<()> {
         // reader and writer are clones of the same socket, so one call
         // flips both directions to non-blocking.
         self.writer.lock().set_nonblocking(true)?;
@@ -386,10 +389,6 @@ impl Pollable for TcpConn {
             }
         }
     }
-
-    fn has_pending_writes(&self) -> bool {
-        !self.outbound.lock().queue.is_empty()
-    }
 }
 
 struct TcpAcceptor {
@@ -444,12 +443,12 @@ impl Listener for TcpAcceptor {
 
 #[cfg(unix)]
 impl PollableListener for TcpAcceptor {
-    fn poll_fd(&self) -> i32 {
+    fn poll_fd(&self) -> Option<i32> {
         use std::os::unix::io::AsRawFd;
-        self.listener.as_raw_fd()
+        Some(self.listener.as_raw_fd())
     }
 
-    fn enter_reactor_mode(&self) -> Result<()> {
+    fn enter_reactor_mode(&self, _waker: ReactorWaker) -> Result<()> {
         self.listener.set_nonblocking(true)?;
         Ok(())
     }
