@@ -358,11 +358,17 @@ pub fn execute_case(stream: &[u8], chunk_seed: u64) -> FuzzReport {
     let mut fed = 0;
     let mut dead = false;
     while fed < stream.len() && !dead {
-        // Random chunk sizes exercise every partial-header/partial-body
+        // The bytes arrive as the transports receive them — through
+        // `read_with`, into the decoder's own buffer — in reads of random
+        // size, which exercise every partial-header/partial-body
         // resumption point in the decoder.
-        let n = (1 + rng.below(97)).min(stream.len() - fed);
-        dec.extend(&stream[fed..fed + n]);
-        fed += n;
+        let size = 1 + rng.below(97);
+        let read = dec.read_with(usize::MAX, |buf, ask| {
+            let n = ask.min(size).min(stream.len() - fed);
+            buf.extend_from_slice(&stream[fed..fed + n]);
+            Ok::<_, ()>(n)
+        });
+        fed += read.expect("a read from memory cannot fail");
         loop {
             match dec.next_frame() {
                 Ok(Some(frame)) => {

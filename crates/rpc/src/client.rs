@@ -280,7 +280,7 @@ impl CallClient {
                 self.close();
                 Err(RpcError::Closed)
             }
-            _ => self.conn.send(frame).map_err(RpcError::from),
+            _ => self.conn.send_segments(frame).map_err(RpcError::from),
         };
         if let Err(e) = written {
             // Nothing reached the peer: cleanly *not delivered*.

@@ -11,7 +11,10 @@
 //! the received frame, so argument bytes travel from the transport's read
 //! buffer to the dispatcher without a copy.
 
+use std::borrow::Borrow;
+
 use bytes::Bytes;
+use netobj_transport::Segments;
 use netobj_wire::pickle::{Pickle, PickleReader, PickleWriter};
 use netobj_wire::{SpaceId, WireError, WireRep};
 
@@ -151,10 +154,14 @@ impl RpcMsg {
             _ => Err(WireError::OutOfRange("rpc message tag")),
         }
     }
-}
 
-impl Pickle for RpcMsg {
-    fn pickle(&self, w: &mut PickleWriter) {
+    /// Pickles the message, calling `payload` to write its payload — a
+    /// request's args or a reply's result — in the place it goes.
+    fn pickle_with<'m>(
+        &'m self,
+        w: &mut PickleWriter,
+        payload: impl FnOnce(&mut PickleWriter, &'m Bytes),
+    ) {
         match self {
             RpcMsg::Request(rq) => {
                 w.begin_variant(TAG_REQUEST);
@@ -166,29 +173,48 @@ impl Pickle for RpcMsg {
                 rq.caller.pickle(w);
                 rq.target.pickle(w);
                 rq.method.pickle(w);
-                w.put_bytes(&rq.args);
+                payload(w, &rq.args);
                 rq.trace_id.pickle(w);
                 rq.span_id.pickle(w);
             }
-            RpcMsg::Reply(rp) => match &rp.outcome {
-                Ok(bytes) => {
-                    w.begin_variant(TAG_REPLY_OK);
-                    rp.call_id.pickle(w);
-                    rp.needs_ack.pickle(w);
-                    w.put_bytes(bytes);
-                }
-                Err(e) => {
-                    w.begin_variant(TAG_REPLY_ERR);
-                    rp.call_id.pickle(w);
-                    rp.needs_ack.pickle(w);
-                    e.pickle(w);
-                }
-            },
+            RpcMsg::Reply(rp) => {
+                pickle_reply(w, rp.call_id, rp.needs_ack, rp.outcome.as_ref(), payload);
+            }
             RpcMsg::ReplyAck(call_id) => {
                 w.begin_variant(TAG_REPLY_ACK);
                 call_id.pickle(w);
             }
         }
+    }
+}
+
+/// Pickles a reply, calling `payload` to write a result in its place.
+fn pickle_reply<P>(
+    w: &mut PickleWriter,
+    call_id: u64,
+    needs_ack: bool,
+    outcome: Result<P, impl Borrow<RemoteError>>,
+    payload: impl FnOnce(&mut PickleWriter, P),
+) {
+    match outcome {
+        Ok(result) => {
+            w.begin_variant(TAG_REPLY_OK);
+            call_id.pickle(w);
+            needs_ack.pickle(w);
+            payload(w, result);
+        }
+        Err(e) => {
+            w.begin_variant(TAG_REPLY_ERR);
+            call_id.pickle(w);
+            needs_ack.pickle(w);
+            e.borrow().pickle(w);
+        }
+    }
+}
+
+impl Pickle for RpcMsg {
+    fn pickle(&self, w: &mut PickleWriter) {
+        self.pickle_with(w, |w, payload| w.put_bytes(payload));
     }
 
     fn unpickle(r: &mut PickleReader<'_>) -> netobj_wire::Result<Self> {
@@ -196,13 +222,48 @@ impl Pickle for RpcMsg {
     }
 }
 
+/// Payloads this long or longer are sent by reference instead of being
+/// copied into the frame. Below it the copy is cheaper than the extra
+/// iovec entries and the shared payload's refcount traffic. Measured as
+/// encode plus blocking `send` over loopback TCP, pinned to one CPU of a
+/// 2-vCPU x86-64 host (seven alternating rounds of 100k frames per size):
+/// gathering costs 50–150 ns more per frame up to 2 KiB, breaks even at
+/// about 4 KiB, and saves about 150 ns at 12–16 KiB.
+pub const GATHER_MIN: usize = 4 * 1024;
+
+/// A payload [`SendBuf`] copies into its buffer, or — from [`GATHER_MIN`]
+/// bytes up — sends by reference.
+trait Payload: AsRef<[u8]> {
+    /// The payload as a shared piece of the frame.
+    fn into_shared(self) -> Bytes;
+}
+
+impl Payload for &Bytes {
+    fn into_shared(self) -> Bytes {
+        self.clone()
+    }
+}
+
+/// A dispatcher's result: moved, not copied, into the frame when large,
+/// and never wrapped (which costs an allocation) when small.
+impl Payload for Vec<u8> {
+    fn into_shared(self) -> Bytes {
+        Bytes::from(self)
+    }
+}
+
 /// A recycling frame encoder.
 ///
-/// Encodes one [`RpcMsg`] at a time and hands the frame out as [`Bytes`].
-/// The previous frame's allocation is reclaimed for the next encode as
-/// soon as the transport has dropped its reference — steady-state, a
-/// connection sends every reply from the same buffer. Callers serialise
-/// access (the RPC server keeps one per connection, under a mutex).
+/// Encodes one message at a time into the [`Segments`] of one frame.
+/// Everything but a bulk payload is written into this encoder's buffer. A
+/// payload of [`GATHER_MIN`] bytes or more is not copied: it leaves by
+/// reference, as the middle piece between the buffer's head — which ends
+/// with the payload's byte-string header — and its tail (a request's span
+/// ids). A smaller frame is one piece. The buffer's allocation is
+/// reclaimed for the next encode as soon as the transport has dropped the
+/// previous frame — steady-state, a connection sends every frame from
+/// the same buffer. Callers serialise access (the RPC server keeps one per
+/// connection, under a mutex).
 #[derive(Default)]
 pub struct SendBuf {
     spare: Option<Bytes>,
@@ -214,39 +275,31 @@ impl SendBuf {
         SendBuf::default()
     }
 
-    /// Encodes `msg` into this connection's send buffer.
-    pub fn encode(&mut self, msg: &RpcMsg) -> Bytes {
+    /// Encodes `msg`; the pieces, concatenated, are [`RpcMsg::encode`].
+    pub fn encode(&mut self, msg: &RpcMsg) -> Segments {
         let mut w = self.writer();
-        msg.pickle(&mut w);
-        self.seal(w)
+        let mut gathered = None;
+        msg.pickle_with(&mut w, |w, p| put_payload(w, p, &mut gathered));
+        self.seal(w, gathered)
     }
 
-    /// Encodes a reply directly from its parts, borrowing the result
-    /// payload. Wire-identical to `encode(&RpcMsg::Reply(..))` but skips
-    /// wrapping the payload in an intermediate [`Bytes`] — the server's
-    /// per-call fast path.
+    /// Encodes a reply straight from a dispatcher's outcome — the server's
+    /// per-call path. Wire-identical to `encode(&RpcMsg::Reply(..))`, but
+    /// a result under [`GATHER_MIN`] is copied from the `Vec` and dropped
+    /// rather than first wrapped in a [`Bytes`], which would cost every
+    /// small reply an allocation.
     pub fn encode_reply(
         &mut self,
         call_id: u64,
         needs_ack: bool,
-        outcome: std::result::Result<&[u8], &RemoteError>,
-    ) -> Bytes {
+        outcome: Result<Vec<u8>, RemoteError>,
+    ) -> Segments {
         let mut w = self.writer();
-        match outcome {
-            Ok(bytes) => {
-                w.begin_variant(TAG_REPLY_OK);
-                call_id.pickle(&mut w);
-                needs_ack.pickle(&mut w);
-                w.put_bytes(bytes);
-            }
-            Err(e) => {
-                w.begin_variant(TAG_REPLY_ERR);
-                call_id.pickle(&mut w);
-                needs_ack.pickle(&mut w);
-                e.pickle(&mut w);
-            }
-        }
-        self.seal(w)
+        let mut gathered = None;
+        pickle_reply(&mut w, call_id, needs_ack, outcome, |w, p| {
+            put_payload(w, p, &mut gathered)
+        });
+        self.seal(w, gathered)
     }
 
     fn writer(&mut self) -> PickleWriter {
@@ -258,10 +311,28 @@ impl SendBuf {
         PickleWriter::from_vec(recycled)
     }
 
-    fn seal(&mut self, w: PickleWriter) -> Bytes {
-        let frame = Bytes::from(w.into_bytes());
-        self.spare = Some(frame.clone());
-        frame
+    /// The frame: the buffer, or — around a gathered payload — its head,
+    /// the payload and its tail.
+    fn seal(&mut self, w: PickleWriter, gathered: Option<(usize, Bytes)>) -> Segments {
+        let buf = Bytes::from(w.into_bytes());
+        self.spare = Some(buf.clone());
+        match gathered {
+            None => Segments::from(buf),
+            Some((at, payload)) => Segments::new(buf.slice(..at), payload, buf.slice(at..)),
+        }
+    }
+}
+
+/// Writes `payload` — or, from [`GATHER_MIN`] bytes up, only its header,
+/// leaving in `gathered` where the payload goes and the payload itself, to
+/// be sent by reference.
+fn put_payload(w: &mut PickleWriter, payload: impl Payload, gathered: &mut Option<(usize, Bytes)>) {
+    let len = payload.as_ref().len();
+    if len < GATHER_MIN {
+        w.put_bytes(payload.as_ref());
+    } else {
+        w.put_bytes_header(len);
+        *gathered = Some((w.len(), payload.into_shared()));
     }
 }
 
@@ -400,45 +471,127 @@ mod tests {
         }
     }
 
+    fn request_with(args: Bytes) -> RpcMsg {
+        let RpcMsg::Request(rq) = sample_request() else {
+            unreachable!()
+        };
+        RpcMsg::Request(Request { args, ..rq })
+    }
+
+    fn reply_with(bytes: Bytes) -> RpcMsg {
+        RpcMsg::Reply(Reply {
+            call_id: 7,
+            outcome: Ok(bytes),
+            needs_ack: true,
+        })
+    }
+
+    /// Lengths around the gather threshold, and well past it.
+    const LENGTHS: [usize; 6] = [0, 1, GATHER_MIN - 1, GATHER_MIN, 64 * 1024, 1024 * 1024];
+
+    fn payload_of(len: usize) -> Bytes {
+        Bytes::from((0..len).map(|i| i as u8).collect::<Vec<u8>>())
+    }
+
+    /// A frame is one piece below the gather threshold, and from it on
+    /// three, the middle one being `payload` itself, not a copy.
+    fn assert_shape(frame: &Segments, payload: &[u8]) {
+        let pieces: Vec<&Bytes> = frame.iter().collect();
+        if payload.len() < GATHER_MIN {
+            assert_eq!(pieces.len(), 1, "{}", payload.len());
+        } else {
+            assert_eq!(pieces.len(), 3, "{}", payload.len());
+            assert_eq!(pieces[1].as_ptr(), payload.as_ptr());
+        }
+    }
+
+    /// The encoder's frames, gathered or not, are the bytes of the generic
+    /// encoding, for requests and replies at every payload length.
+    #[test]
+    fn send_buf_frames_match_encode_at_every_payload_length() {
+        let mut sb = SendBuf::new();
+        for len in LENGTHS {
+            let payload = payload_of(len);
+            for msg in [request_with(payload.clone()), reply_with(payload.clone())] {
+                let frame = sb.encode(&msg);
+                assert_shape(&frame, &payload);
+                assert_eq!(frame.concat(), msg.encode(), "{len}");
+            }
+        }
+        let error = RpcMsg::Reply(Reply {
+            call_id: 9,
+            outcome: Err(RemoteError::new(RemoteErrorKind::NoSuchObject, "gone")),
+            needs_ack: false,
+        });
+        for msg in [error, RpcMsg::ReplyAck(3)] {
+            assert_eq!(sb.encode(&msg).concat(), msg.encode());
+        }
+    }
+
     /// `encode_reply` must stay byte-identical to encoding the equivalent
-    /// `RpcMsg::Reply` — it is the same wire format, minus an allocation.
+    /// `RpcMsg::Reply` — it is the same wire format, minus an allocation —
+    /// and a large result must leave as the dispatcher's own buffer.
     #[test]
     fn encode_reply_matches_generic_encoding() {
         let mut sb = SendBuf::new();
-        for needs_ack in [false, true] {
-            let ok = sb.encode_reply(7, needs_ack, Ok(&[1, 2, 3]));
-            let via_msg = RpcMsg::Reply(Reply {
-                call_id: 7,
-                outcome: Ok(Bytes::from(vec![1, 2, 3])),
-                needs_ack,
-            })
-            .encode();
-            assert_eq!(ok, via_msg);
+        for len in LENGTHS {
+            let result = payload_of(len).to_vec();
+            let at = result.as_ptr();
+            let frame = sb.encode_reply(7, true, Ok(result));
+            if len >= GATHER_MIN {
+                assert_eq!(
+                    frame.iter().nth(1).unwrap().as_ptr(),
+                    at,
+                    "moved, not copied"
+                );
+            }
+            assert_eq!(
+                frame.concat(),
+                reply_with(payload_of(len)).encode(),
+                "{len}"
+            );
         }
         let e = RemoteError::new(RemoteErrorKind::NoSuchObject, "gone");
-        let err = sb.encode_reply(9, false, Err(&e));
+        let err = sb.encode_reply(9, false, Err(e.clone()));
         let via_msg = RpcMsg::Reply(Reply {
             call_id: 9,
             outcome: Err(e),
             needs_ack: false,
         })
         .encode();
-        assert_eq!(err, via_msg);
+        assert_eq!(err.concat(), via_msg);
     }
 
     #[test]
     fn send_buf_recycles_released_allocation() {
         let mut sb = SendBuf::new();
         let m = RpcMsg::ReplyAck(1);
-        let f1 = sb.encode(&m);
+        let f1 = sb.encode(&m).concat();
         let p1 = f1.as_ptr() as usize;
         drop(f1); // transport done with the frame
-        let f2 = sb.encode(&m);
+        let f2 = sb.encode(&m).concat();
         assert_eq!(p1, f2.as_ptr() as usize, "allocation reused");
 
         // While a frame is still alive, the encoder must not clobber it.
-        let f3 = sb.encode(&RpcMsg::ReplyAck(2));
+        let f3 = sb.encode(&RpcMsg::ReplyAck(2)).concat();
         assert_eq!(RpcMsg::decode(&f2).unwrap(), RpcMsg::ReplyAck(1));
         assert_eq!(RpcMsg::decode(&f3).unwrap(), RpcMsg::ReplyAck(2));
+    }
+
+    /// A gathered frame's head and tail come from the recycled buffer too;
+    /// the payload stays the caller's and is never written into it.
+    #[test]
+    fn send_buf_recycles_around_a_gathered_payload() {
+        let mut sb = SendBuf::new();
+        let payload = Bytes::from(vec![5u8; 4 * GATHER_MIN]);
+        let head_of = |frame: &Segments| frame.iter().next().unwrap().as_ptr() as usize;
+        let f1 = sb.encode(&request_with(payload.clone()));
+        let p1 = head_of(&f1);
+        drop(f1);
+        let f2 = sb.encode(&request_with(payload.clone()));
+        assert_eq!(p1, head_of(&f2), "allocation reused");
+        let small = sb.encode(&RpcMsg::ReplyAck(2)).concat();
+        assert_eq!(f2.concat(), request_with(payload).encode());
+        assert_eq!(RpcMsg::decode(&small).unwrap(), RpcMsg::ReplyAck(2));
     }
 }

@@ -483,6 +483,17 @@ struct ConnCtx {
     fast: Option<FastMethods>,
 }
 
+impl ConnCtx {
+    /// Sends the reply to call `call_id`; false if the connection is gone.
+    fn reply(&self, call_id: u64, needs_ack: bool, outcome: Result<Vec<u8>, RemoteError>) -> bool {
+        let frame = self
+            .send_buf
+            .lock()
+            .encode_reply(call_id, needs_ack, outcome);
+        self.conn.send_segments(frame).is_ok()
+    }
+}
+
 /// Dispatches one request and sends its reply; shared by the worker path
 /// and the reactor's inline fast path. Returns the method's service time
 /// (on the connection's clock) for the fast-path classifier.
@@ -514,12 +525,7 @@ fn serve_request(ctx: &ConnCtx, rq: Request, enqueued: std::time::Instant) -> st
         ctx.acks
             .insert(rq.call_id, after + DEFAULT_ACK_TIMEOUT, completion);
     }
-    let frame = ctx.send_buf.lock().encode_reply(
-        rq.call_id,
-        needs_ack,
-        dispatch.outcome.as_ref().map(|v| v.as_slice()),
-    );
-    if ctx.conn.send(frame).is_err() {
+    if !ctx.reply(rq.call_id, needs_ack, dispatch.outcome) {
         // The caller is gone; run the completion immediately.
         ctx.acks.acknowledge(rq.call_id);
     }
@@ -601,11 +607,7 @@ impl ConnDriver for ConnState {
                     RemoteErrorKind::QuotaExceeded,
                     "client connection limit exceeded",
                 );
-                let frame = ctx
-                    .send_buf
-                    .lock()
-                    .encode_reply(rq.call_id, false, Err(&err));
-                let _ = ctx.conn.send(frame);
+                ctx.reply(rq.call_id, false, Err(err));
                 return Drive::Close;
             }
         }
@@ -643,11 +645,7 @@ impl ConnDriver for ConnState {
             Box::new(move || {
                 shed_ctx.stats.shed_global.fetch_add(1, Ordering::Relaxed);
                 let busy = RemoteError::new(RemoteErrorKind::Busy, "displaced by fair admission");
-                let frame = shed_ctx
-                    .send_buf
-                    .lock()
-                    .encode_reply(call_id, false, Err(&busy));
-                let _ = shed_ctx.conn.send(frame);
+                shed_ctx.reply(call_id, false, Err(busy));
             }),
         );
         match admitted {
@@ -659,8 +657,7 @@ impl ConnDriver for ConnState {
                 // — by definition no worker is free to do it.
                 ctx.stats.shed_global.fetch_add(1, Ordering::Relaxed);
                 let busy = RemoteError::new(RemoteErrorKind::Busy, "server worker pool saturated");
-                let frame = ctx.send_buf.lock().encode_reply(call_id, false, Err(&busy));
-                if ctx.conn.send(frame).is_err() {
+                if !ctx.reply(call_id, false, Err(busy)) {
                     return Drive::Close;
                 }
                 Drive::Continue
@@ -674,8 +671,7 @@ impl ConnDriver for ConnState {
                     RemoteErrorKind::QuotaExceeded,
                     "client request budget exceeded",
                 );
-                let frame = ctx.send_buf.lock().encode_reply(call_id, false, Err(&err));
-                if ctx.conn.send(frame).is_err() {
+                if !ctx.reply(call_id, false, Err(err)) {
                     return Drive::Close;
                 }
                 Drive::Continue

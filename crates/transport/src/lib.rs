@@ -56,10 +56,20 @@ pub type Result<T> = std::result::Result<T, TransportError>;
 /// Frames travel as shared [`Bytes`]: in-process transports enqueue the
 /// caller's buffer by reference, and stream transports write the length
 /// prefix and the payload as separate (gathered) writes — no transport
-/// re-assembles a frame into a fresh allocation.
+/// re-assembles a one-piece frame into a fresh allocation. A frame may
+/// also come in [`Segments`], so that an encoder need not copy a bulk
+/// payload into its own buffer: a stream transport gathers the pieces by
+/// reference too, and an in-process one concatenates them.
 pub trait Conn: Send + Sync {
     /// Sends one frame. Returns an error if the connection is closed.
     fn send(&self, frame: Bytes) -> Result<()>;
+
+    /// Sends one frame given as up to three pieces, back to back. The
+    /// default concatenates them and calls [`Conn::send`]: a transport
+    /// that cannot gather pays here the copy the encoder saved.
+    fn send_segments(&self, frame: Segments) -> Result<()> {
+        self.send(frame.concat())
+    }
 
     /// Receives the next frame, blocking until one arrives or the
     /// connection closes.
@@ -93,6 +103,64 @@ pub trait Conn: Send + Sync {
     /// blocking caller, such as a client-side wrapper in a test.
     fn as_pollable(&self) -> Option<&dyn reactor::Pollable> {
         None
+    }
+}
+
+/// One outbound frame in up to three pieces that travel back to back: what
+/// an encoder wrote into its own buffer, a bulk payload it holds by
+/// reference, and whatever it wrote after that.
+#[derive(Debug, Clone)]
+pub struct Segments([Option<Bytes>; 3]);
+
+impl Segments {
+    /// A frame of `head`, then `body`, then `tail`.
+    pub fn new(head: Bytes, body: Bytes, tail: Bytes) -> Segments {
+        Segments([Some(head), Some(body), Some(tail)])
+    }
+
+    /// The pieces, in order.
+    pub fn iter(&self) -> impl Iterator<Item = &Bytes> {
+        self.0.iter().flatten()
+    }
+
+    /// The three pieces, an absent one empty.
+    pub(crate) fn slices(&self) -> [&[u8]; 3] {
+        fn piece(p: &Option<Bytes>) -> &[u8] {
+            p.as_deref().unwrap_or(&[])
+        }
+        [piece(&self.0[0]), piece(&self.0[1]), piece(&self.0[2])]
+    }
+
+    /// The frame's length in bytes.
+    pub fn len(&self) -> usize {
+        self.iter().map(Bytes::len).sum()
+    }
+
+    /// True for an empty frame.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The frame as one [`Bytes`]: the piece itself if there is one, else
+    /// a copy of them all.
+    pub fn concat(self) -> Bytes {
+        let len = self.len();
+        match self.0 {
+            [Some(one), None, None] => one,
+            pieces => {
+                let mut whole = Vec::with_capacity(len);
+                for piece in pieces.iter().flatten() {
+                    whole.extend_from_slice(piece);
+                }
+                Bytes::from(whole)
+            }
+        }
+    }
+}
+
+impl From<Bytes> for Segments {
+    fn from(frame: Bytes) -> Segments {
+        Segments([Some(frame), None, None])
     }
 }
 

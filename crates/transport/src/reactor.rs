@@ -83,8 +83,10 @@ pub trait Pollable: Send + Sync {
     fn enter_reactor_mode(&self, waker: ReactorWaker) -> Result<()>;
 
     /// Reads whatever is available without blocking, pushing each complete
-    /// decoded frame into `sink`. Framing errors are returned (the caller
-    /// drops the connection — a desynchronised stream cannot recover).
+    /// decoded frame into `sink` as soon as it is decoded — before the
+    /// next read, which can then reuse the buffer of a frame `sink` did
+    /// not keep. Framing errors are returned (the caller drops the
+    /// connection — a desynchronised stream cannot recover).
     fn drive_read(&self, sink: &mut dyn FnMut(Bytes)) -> Result<ReadDrive>;
 
     /// Flushes queued outbound frames with coalesced vectored writes.
@@ -135,8 +137,10 @@ pub enum Drive {
 /// The per-connection protocol state machine the reactor drives.
 ///
 /// All calls arrive on the reactor thread, never concurrently for one
-/// connection. Replies go out through the connection's ordinary
-/// [`Conn::send`], which in reactor mode enqueues for a coalesced flush.
+/// connection; `on_frame` runs in the middle of the connection's
+/// [`Pollable::drive_read`]. Replies go out through the connection's
+/// ordinary [`Conn::send`], which in reactor mode enqueues for a coalesced
+/// flush.
 pub trait ConnDriver: Send {
     /// One decoded inbound frame.
     fn on_frame(&mut self, frame: Bytes) -> Drive;
@@ -407,8 +411,6 @@ struct EventLoop {
     next_token: usize,
     conns: HashMap<usize, ConnEntry>,
     listeners: HashMap<usize, ListenerEntry>,
-    /// Scratch buffer reused across reads to collect decoded frames.
-    frames: Vec<Bytes>,
     /// Listeners whose last accept hit a transient failure with backlog
     /// possibly still pending ([`AcceptPoll::Retry`]): revisited on the
     /// next tick instead of rearmed immediately, so fd exhaustion cannot
@@ -424,7 +426,6 @@ impl EventLoop {
             next_token: 0,
             conns: HashMap::new(),
             listeners: HashMap::new(),
-            frames: Vec::new(),
             deferred_accepts: Vec::new(),
         }
     }
@@ -684,31 +685,28 @@ impl EventLoop {
     fn handle_conn(&mut self, token: usize, readable: bool, writable: bool) {
         let mut eof = false;
         if readable {
-            // Phase 1: drain the socket into decoded frames (no driver
-            // involvement, so the pollable borrow stays local).
-            let read = {
-                let entry = self.conns.get(&token).expect("conn exists");
-                let pollable = entry.conn.as_pollable().expect("pollable");
-                let frames = &mut self.frames;
-                pollable.drive_read(&mut |frame| frames.push(frame))
-            };
+            // Read and deliver in one pass: each frame goes to the driver
+            // as soon as it is decoded, so a frame served inline is gone
+            // before the next receive, which then refills the connection's
+            // read buffer in place rather than in a fresh allocation. The
+            // driver may call `Conn::send` (queuing replies) and
+            // `ReactorWaker::wake_write`.
+            let entry = self.conns.get_mut(&token).expect("conn exists");
+            let driver = &mut entry.driver;
+            let mut close_requested = false;
+            let read = entry
+                .conn
+                .as_pollable()
+                .expect("pollable")
+                .drive_read(&mut |frame| {
+                    // After a close verdict the rest of the batch is dropped.
+                    if !close_requested && driver.on_frame(frame) == Drive::Close {
+                        close_requested = true;
+                    }
+                });
             match read {
                 Ok(ReadDrive::Open) => {}
                 Ok(ReadDrive::Closed) | Err(_) => eof = true,
-            }
-            // Phase 2: deliver frames to the driver. The driver may call
-            // `Conn::send` (queuing replies) and `ReactorWaker::wake_write`.
-            let mut close_requested = false;
-            for frame in self.frames.drain(..) {
-                if close_requested {
-                    continue; // drain the scratch buffer regardless
-                }
-                let Some(entry) = self.conns.get_mut(&token) else {
-                    continue;
-                };
-                if entry.driver.on_frame(frame) == Drive::Close {
-                    close_requested = true;
-                }
             }
             if close_requested {
                 // Push out any replies queued for frames handled before
@@ -764,9 +762,10 @@ mod tests {
     use super::*;
     use crate::endpoint::Endpoint;
     use crate::tcp::Tcp;
-    use crate::Transport;
+    use crate::{Segments, Transport};
 
-    /// Replies to every frame with the frame itself.
+    /// Replies to every frame with the frame itself, in three pieces, so
+    /// that every test here runs the gathered send path too.
     struct Echo {
         conn: Arc<dyn Conn>,
         closes: Arc<AtomicUsize>,
@@ -774,7 +773,13 @@ mod tests {
 
     impl ConnDriver for Echo {
         fn on_frame(&mut self, frame: Bytes) -> Drive {
-            match self.conn.send(frame) {
+            let third = frame.len() / 3;
+            let echo = Segments::new(
+                frame.slice(..third),
+                frame.slice(third..2 * third),
+                frame.slice(2 * third..),
+            );
+            match self.conn.send_segments(echo) {
                 Ok(()) => Drive::Continue,
                 Err(_) => Drive::Close,
             }
@@ -1082,12 +1087,19 @@ mod tests {
     fn large_frame_survives_partial_writes() {
         let (reactor, ep, _closes) = echo_server();
         let client = Tcp.connect(&ep).unwrap();
-        // Bigger than any socket buffer: the reactor must make progress
-        // across many WouldBlock boundaries with correct head offsets.
+        // Bigger than any socket buffer, in three pieces of over a megabyte
+        // each, both ways: the blocking sender and the reactor must make
+        // progress across many WouldBlock boundaries — which can fall in
+        // any piece — with correct cursors.
         let payload: Vec<u8> = (0..4_000_000u32).map(|i| (i % 251) as u8).collect();
-        let expect = payload.clone();
-        client.send(Bytes::from(payload)).unwrap();
-        assert_eq!(client.recv().unwrap(), expect);
+        let frame = Bytes::from(payload.clone());
+        let sent = Segments::new(
+            frame.slice(..1_300_001),
+            frame.slice(1_300_001..2_700_000),
+            frame.slice(2_700_000..),
+        );
+        client.send_segments(sent).unwrap();
+        assert_eq!(client.recv().unwrap(), payload);
         assert!(reactor.stats().frames_flushed >= 1);
     }
 }

@@ -14,9 +14,13 @@
 //!   vectored write (`drive_write`) and pushes inbound frames to the
 //!   registered driver (`drive_read`). `recv` is unavailable in this mode.
 //!   This is the server end: every accepted connection is served this way.
+//!
+//! Either way a frame's bytes are copied by neither direction: a frame
+//! given as [`Segments`] is written by gathering its pieces where they lie,
+//! and a `recv` lands in the frame decoder's own buffer.
 
 use std::collections::VecDeque;
-use std::io::{self, IoSlice, Read, Write};
+use std::io::{self, IoSlice, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
@@ -30,7 +34,7 @@ use crate::error::TransportError;
 use crate::reactor::{
     AcceptPoll, FlushReport, Pollable, PollableListener, ReactorWaker, ReadDrive,
 };
-use crate::{Conn, Listener, Result, Transport};
+use crate::{Conn, Listener, Result, Segments, Transport};
 
 /// The TCP transport (stateless; connections carry all state).
 #[derive(Debug, Default, Clone, Copy)]
@@ -41,12 +45,83 @@ pub struct Tcp;
 /// rather than growing the queue without bound (64 MiB ≈ four max frames).
 const OUTBOUND_LIMIT: usize = 64 * 1024 * 1024;
 
-/// One queued outbound frame: its 4-byte length prefix plus the shared
-/// payload. Kept separate so flushes can gather both into one iovec list
-/// without re-assembling a contiguous buffer.
+/// Bytes read from one connection per readiness visit, so one firehose
+/// peer cannot monopolise the reactor thread; the level-triggered rearm
+/// brings it back for the rest.
+const MAX_READ_PER_VISIT: usize = 128 * 1024;
+
+/// Cap on frames gathered into a single vectored write. Linux caps an
+/// iovec list at 1024 entries; 16 frames per syscall already captures
+/// nearly all the coalescing benefit.
+const MAX_FRAMES_PER_WRITEV: usize = 16;
+
+/// Iovec entries one frame can take: its prefix and its three pieces.
+const SLICES_PER_FRAME: usize = 4;
+
+/// One outbound frame: its 4-byte length prefix plus the frame's pieces,
+/// shared, never re-assembled — writes gather them into one iovec list.
 struct QueuedFrame {
     prefix: [u8; 4],
-    frame: Bytes,
+    frame: Segments,
+}
+
+impl QueuedFrame {
+    fn new(frame: Segments) -> Result<QueuedFrame> {
+        Ok(QueuedFrame {
+            prefix: frame_prefix(frame.len())?,
+            frame,
+        })
+    }
+
+    /// Bytes this frame puts on the wire, prefix included (which is what
+    /// the prefix says, plus itself).
+    fn len(&self) -> usize {
+        4 + u32::from_le_bytes(self.prefix) as usize
+    }
+}
+
+/// Fills `iov` with what `frames` put on the wire after their first `skip`
+/// bytes — a write cursor may stop anywhere, inside any piece — and
+/// returns how many entries it used.
+fn gather<'a>(
+    frames: impl IntoIterator<Item = &'a QueuedFrame>,
+    mut skip: usize,
+    iov: &mut [IoSlice<'a>],
+) -> usize {
+    let mut used = 0;
+    for frame in frames {
+        let [head, body, tail] = frame.frame.slices();
+        for piece in [&frame.prefix[..], head, body, tail] {
+            if skip >= piece.len() {
+                skip -= piece.len();
+                continue;
+            }
+            if used == iov.len() {
+                return used;
+            }
+            iov[used] = IoSlice::new(&piece[skip..]);
+            skip = 0;
+            used += 1;
+        }
+    }
+    used
+}
+
+/// Writes `frame` whole to a blocking `w`. Every write carries all that is
+/// left of the frame, so `TCP_NODELAY` never sends a bare prefix.
+fn write_frame(w: &mut impl Write, frame: &QueuedFrame) -> Result<()> {
+    let mut written = 0;
+    while written < frame.len() {
+        let mut iov = [IoSlice::new(&[]); SLICES_PER_FRAME];
+        let used = gather([frame], written, &mut iov);
+        match w.write_vectored(&iov[..used]) {
+            Ok(0) => return Err(TransportError::Closed),
+            Ok(n) => written += n,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e.into()),
+        }
+    }
+    Ok(())
 }
 
 #[derive(Default)]
@@ -58,7 +133,115 @@ struct Outbound {
     bytes: usize,
 }
 
-/// The receiving side of a blocking-mode connection.
+impl Outbound {
+    /// Flushes the queue into a non-blocking `w`, up to
+    /// `MAX_FRAMES_PER_WRITEV` frames per vectored write, until it is
+    /// empty or `w` would block.
+    fn flush(&mut self, w: &mut impl Write) -> Result<FlushReport> {
+        let mut report = FlushReport::default();
+        loop {
+            if self.queue.is_empty() {
+                self.head_written = 0;
+                return Ok(report);
+            }
+            let wrote = {
+                let mut iov = [IoSlice::new(&[]); SLICES_PER_FRAME * MAX_FRAMES_PER_WRITEV];
+                let frames = self.queue.iter().take(MAX_FRAMES_PER_WRITEV);
+                let used = gather(frames, self.head_written, &mut iov);
+                w.write_vectored(&iov[..used])
+            };
+            match wrote {
+                Ok(0) => return Err(TransportError::Closed),
+                Ok(n) => {
+                    report.syscalls += 1;
+                    self.bytes -= n;
+                    // Advance the head cursor and retire fully-sent frames.
+                    let mut progressed = self.head_written + n;
+                    while let Some(head) = self.queue.front() {
+                        if progressed < head.len() {
+                            break;
+                        }
+                        progressed -= head.len();
+                        self.queue.pop_front();
+                        report.frames += 1;
+                    }
+                    self.head_written = progressed;
+                }
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
+                    report.pending = true;
+                    return Ok(report);
+                }
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e.into()),
+            }
+        }
+    }
+}
+
+/// One `recv` of at most `max` bytes from `stream`, appended to `buf`.
+/// With `dontwait` it never blocks; nothing waiting is
+/// `ErrorKind::WouldBlock`.
+#[cfg(unix)]
+fn recv_append(
+    stream: &TcpStream,
+    buf: &mut Vec<u8>,
+    max: usize,
+    dontwait: bool,
+) -> io::Result<usize> {
+    use std::os::fd::AsFd;
+    polling::recv_append(stream.as_fd(), buf, max, dontwait)
+}
+
+/// Where `polling` has no receive: a read into zeroed room, and no
+/// non-blocking one at all — every such probe finds nothing, and a dead
+/// idle connection is found by the next blocking read instead.
+#[cfg(not(unix))]
+fn recv_append(
+    mut stream: &TcpStream,
+    buf: &mut Vec<u8>,
+    max: usize,
+    dontwait: bool,
+) -> io::Result<usize> {
+    use std::io::Read;
+    if dontwait {
+        return Err(io::ErrorKind::WouldBlock.into());
+    }
+    let len = buf.len();
+    buf.resize(len + max, 0);
+    let got = stream.read(&mut buf[len..]);
+    buf.truncate(len + *got.as_ref().unwrap_or(&0));
+    got
+}
+
+/// One reactor visit's reads: receives into `decoder` through `recv`
+/// until it would block, the stream ends or `MAX_READ_PER_VISIT` bytes
+/// have come in, handing each frame to `sink` as soon as it is complete.
+fn read_visit(
+    decoder: &mut FrameDecoder,
+    mut recv: impl FnMut(&mut Vec<u8>, usize) -> io::Result<usize>,
+    sink: &mut dyn FnMut(Bytes),
+) -> Result<ReadDrive> {
+    let mut budget = MAX_READ_PER_VISIT;
+    while budget > 0 {
+        match decoder.read_with(budget, &mut recv) {
+            Ok(0) => return Ok(ReadDrive::Closed),
+            Ok(n) => {
+                budget -= n;
+                while let Some(frame) = decoder.next_frame()? {
+                    sink(frame);
+                }
+            }
+            Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(ReadDrive::Open),
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(_) => return Ok(ReadDrive::Closed),
+        }
+    }
+    // Budget spent with the socket possibly still readable; the
+    // level-triggered rearm redelivers readiness immediately.
+    Ok(ReadDrive::Open)
+}
+
+/// The receiving side of a connection.
 struct ReadHalf {
     stream: TcpStream,
     decoder: FrameDecoder,
@@ -68,23 +251,24 @@ struct ReadHalf {
 }
 
 impl ReadHalf {
-    /// Takes the next frame out of the decoder, feeding it from the socket
-    /// through `read` (into `chunk`) for as long as it needs more bytes. A
-    /// `read` that finds nothing in time fails with
+    /// Takes the next frame out of the decoder, receiving into it for as
+    /// long as it needs more bytes. A receive that finds nothing in time —
+    /// or nothing at all, with `dontwait` — fails with
     /// [`TransportError::Timeout`].
-    fn next_frame(
-        &mut self,
-        chunk: &mut [u8],
-        mut read: impl FnMut(&mut TcpStream, &mut [u8]) -> io::Result<usize>,
-    ) -> Result<Bytes> {
+    fn next_frame(&mut self, dontwait: bool) -> Result<Bytes> {
+        let ReadHalf {
+            stream, decoder, ..
+        } = self;
         loop {
-            if let Some(frame) = self.decoder.next_frame()? {
+            if let Some(frame) = decoder.next_frame()? {
                 return Ok(frame);
             }
-            match read(&mut self.stream, chunk) {
+            match decoder.read_with(usize::MAX, |buf, max| {
+                recv_append(stream, buf, max, dontwait)
+            }) {
                 Ok(0) => return Err(TransportError::Closed),
-                Ok(n) => self.decoder.extend(&chunk[..n]),
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                Ok(_) => {}
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
                 Err(e) => return Err(e.into()),
             }
         }
@@ -144,25 +328,24 @@ impl TcpConn {
             half.stream.set_read_timeout(timeout)?;
             half.timeout = timeout;
         }
-        half.next_frame(&mut [0u8; 16 * 1024], |stream, buf| stream.read(buf))
+        half.next_frame(false)
     }
 
     /// Reactor-mode `send`: queue the frame and, on an empty→non-empty
     /// transition, wake the reactor to schedule a coalesced flush. (While
     /// the queue is non-empty the reactor already has a flush pending or
     /// writable interest armed, so no further wakes are needed.)
-    fn send_queued(&self, frame: Bytes) -> Result<()> {
-        let prefix = frame_prefix(frame.len())?;
+    fn send_queued(&self, frame: QueuedFrame) -> Result<()> {
         let wake = {
             let mut ob = self.outbound.lock();
-            if ob.bytes + 4 + frame.len() > OUTBOUND_LIMIT {
+            if ob.bytes + frame.len() > OUTBOUND_LIMIT {
                 drop(ob);
                 self.close();
                 return Err(TransportError::Closed);
             }
             let was_empty = ob.queue.is_empty();
-            ob.bytes += 4 + frame.len();
-            ob.queue.push_back(QueuedFrame { prefix, frame });
+            ob.bytes += frame.len();
+            ob.queue.push_back(frame);
             was_empty
         };
         if wake {
@@ -174,56 +357,20 @@ impl TcpConn {
     }
 }
 
-/// One non-blocking read of a blocking-mode socket; nothing there is
-/// `ErrorKind::WouldBlock`. Where the platform has no such read that is
-/// the answer every time, and a dead idle connection is found by the next
-/// blocking read instead.
-fn recv_nonblocking(stream: &mut TcpStream, buf: &mut [u8]) -> io::Result<usize> {
-    #[cfg(unix)]
-    let got = {
-        use std::os::fd::AsFd;
-        polling::recv_nonblocking(stream.as_fd(), buf)
-    };
-    #[cfg(not(unix))]
-    let got: io::Result<usize> = {
-        let _ = (stream, buf);
-        Err(io::ErrorKind::Unsupported.into())
-    };
-    got.map_err(|e| match e.kind() {
-        io::ErrorKind::Unsupported => io::ErrorKind::WouldBlock.into(),
-        _ => e,
-    })
-}
-
 impl Conn for TcpConn {
     fn send(&self, frame: Bytes) -> Result<()> {
+        self.send_segments(Segments::from(frame))
+    }
+
+    fn send_segments(&self, frame: Segments) -> Result<()> {
         if self.closed.load(Ordering::Acquire) {
             return Err(TransportError::Closed);
         }
+        let frame = QueuedFrame::new(frame)?;
         if self.reactor_mode.load(Ordering::Acquire) {
             return self.send_queued(frame);
         }
-        // Gathered write: length prefix + payload go out in one vectored
-        // syscall with no re-assembled buffer. The manual loop keeps both
-        // slices in the iovec until the prefix is fully written so NODELAY
-        // never flushes a bare 4-byte segment.
-        let prefix = frame_prefix(frame.len())?;
-        let total = prefix.len() + frame.len();
-        let mut w = self.writer.lock();
-        let mut written = 0usize;
-        while written < total {
-            let n = if written < prefix.len() {
-                let bufs = [IoSlice::new(&prefix[written..]), IoSlice::new(&frame)];
-                w.write_vectored(&bufs)?
-            } else {
-                w.write(&frame[written - prefix.len()..])?
-            };
-            if n == 0 {
-                return Err(TransportError::Closed);
-            }
-            written += n;
-        }
-        Ok(())
+        write_frame(&mut *self.writer.lock(), &frame)
     }
 
     fn recv(&self) -> Result<Bytes> {
@@ -236,13 +383,7 @@ impl Conn for TcpConn {
 
     fn try_recv(&self) -> Result<Option<Bytes>> {
         self.check_receivable()?;
-        // A small chunk: the usual answer is "nothing there", and a stale
-        // frame larger than this just takes more turns of the loop.
-        let got = self
-            .reader
-            .lock()
-            .next_frame(&mut [0u8; 512], recv_nonblocking);
-        match got {
+        match self.reader.lock().next_frame(true) {
             Ok(frame) => Ok(Some(frame)),
             Err(TransportError::Timeout) => Ok(None),
             Err(e) => Err(e),
@@ -271,15 +412,6 @@ impl Conn for TcpConn {
     }
 }
 
-/// Per-readiness-visit cap on socket reads, so one firehose peer cannot
-/// monopolise the reactor thread (8 × 16 KiB per visit, then rearm).
-const MAX_READ_CHUNKS_PER_VISIT: usize = 8;
-
-/// Cap on frames gathered into a single vectored write (two iovecs each:
-/// prefix + payload). Linux caps an iovec list at 1024 entries; 16 frames
-/// per syscall already captures nearly all the coalescing benefit.
-const MAX_FRAMES_PER_WRITEV: usize = 16;
-
 #[cfg(unix)]
 impl Pollable for TcpConn {
     fn poll_fd(&self) -> Option<i32> {
@@ -300,94 +432,20 @@ impl Pollable for TcpConn {
         if self.closed.load(Ordering::Acquire) {
             return Ok(ReadDrive::Closed);
         }
-        let mut guard = self.reader.lock();
+        let mut half = self.reader.lock();
         let ReadHalf {
             stream, decoder, ..
-        } = &mut *guard;
-        let mut chunk = [0u8; 16 * 1024];
-        for _ in 0..MAX_READ_CHUNKS_PER_VISIT {
-            match stream.read(&mut chunk) {
-                Ok(0) => {
-                    // Deliver frames completed before EOF, then report it.
-                    while let Some(frame) = decoder.next_frame()? {
-                        sink(frame);
-                    }
-                    return Ok(ReadDrive::Closed);
-                }
-                Ok(n) => {
-                    decoder.extend(&chunk[..n]);
-                    while let Some(frame) = decoder.next_frame()? {
-                        sink(frame);
-                    }
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(ReadDrive::Open),
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(_) => return Ok(ReadDrive::Closed),
-            }
-        }
-        // Fairness cap hit with the socket possibly still readable; the
-        // level-triggered rearm redelivers readiness immediately.
-        Ok(ReadDrive::Open)
+        } = &mut *half;
+        read_visit(
+            decoder,
+            |buf, max| recv_append(stream, buf, max, false),
+            sink,
+        )
     }
 
     fn drive_write(&self) -> Result<FlushReport> {
         let mut ob = self.outbound.lock();
-        let mut w = self.writer.lock();
-        let mut report = FlushReport::default();
-        loop {
-            if ob.queue.is_empty() {
-                ob.head_written = 0;
-                return Ok(report);
-            }
-            let wrote = {
-                // Gather up to MAX_FRAMES_PER_WRITEV frames into one iovec
-                // list, skipping whatever earlier partial flushes already
-                // pushed out of the head frame.
-                let mut bufs: Vec<IoSlice> = Vec::with_capacity(2 * MAX_FRAMES_PER_WRITEV);
-                let mut skip = ob.head_written;
-                for qf in ob.queue.iter().take(MAX_FRAMES_PER_WRITEV) {
-                    if skip < qf.prefix.len() {
-                        bufs.push(IoSlice::new(&qf.prefix[skip..]));
-                        skip = 0;
-                    } else {
-                        skip -= qf.prefix.len();
-                    }
-                    if skip < qf.frame.len() {
-                        bufs.push(IoSlice::new(&qf.frame[skip..]));
-                        skip = 0;
-                    } else {
-                        skip -= qf.frame.len();
-                    }
-                }
-                w.write_vectored(&bufs)
-            };
-            match wrote {
-                Ok(0) => return Err(TransportError::Closed),
-                Ok(n) => {
-                    report.syscalls += 1;
-                    ob.bytes -= n;
-                    // Advance the head cursor and retire fully-sent frames.
-                    let mut progressed = ob.head_written + n;
-                    while let Some(head) = ob.queue.front() {
-                        let total = head.prefix.len() + head.frame.len();
-                        if progressed >= total {
-                            progressed -= total;
-                            ob.queue.pop_front();
-                            report.frames += 1;
-                        } else {
-                            break;
-                        }
-                    }
-                    ob.head_written = progressed;
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    report.pending = true;
-                    return Ok(report);
-                }
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(e) => return Err(e.into()),
-            }
-        }
+        ob.flush(&mut *self.writer.lock())
     }
 }
 
@@ -532,6 +590,176 @@ mod tests {
         let h = std::thread::spawn(move || c.send(Bytes::from(payload)));
         assert_eq!(s.recv().unwrap(), expect);
         h.join().unwrap().unwrap();
+    }
+
+    /// A frame in three pieces of `lens` bytes, each piece a distinct
+    /// byte pattern, and the bytes it puts on the wire.
+    fn gathered(lens: [usize; 3]) -> (Segments, Vec<u8>) {
+        let piece =
+            |i: usize| Bytes::from((0..lens[i]).map(|j| (j * 7 + i) as u8).collect::<Vec<_>>());
+        let frame = Segments::new(piece(0), piece(1), piece(2));
+        let mut wire = frame_prefix(frame.len()).unwrap().to_vec();
+        wire.extend_from_slice(&frame.clone().concat());
+        (frame, wire)
+    }
+
+    /// A writer that takes at most `step` bytes per call, all into `out`,
+    /// and then — if `room` runs out — would block.
+    struct Trickle {
+        out: Vec<u8>,
+        step: usize,
+        room: usize,
+    }
+
+    impl Write for Trickle {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.write_vectored(&[IoSlice::new(buf)])
+        }
+
+        fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> io::Result<usize> {
+            let mut take = self.step.min(self.room);
+            if take == 0 {
+                return Err(io::ErrorKind::WouldBlock.into());
+            }
+            let before = self.out.len();
+            for buf in bufs {
+                let n = take.min(buf.len());
+                self.out.extend_from_slice(&buf[..n]);
+                take -= n;
+            }
+            self.room -= self.out.len() - before;
+            Ok(self.out.len() - before)
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// A blocking write resumes wherever the last one stopped: inside the
+    /// prefix, the head, the payload or the tail.
+    #[test]
+    fn write_frame_resumes_inside_every_piece() {
+        let (frame, wire) = gathered([10, 100, 10]);
+        let frame = QueuedFrame::new(frame).unwrap();
+        for step in [1, 3, 7, 13, 50, 1000] {
+            let mut w = Trickle {
+                out: Vec::new(),
+                step,
+                room: usize::MAX,
+            };
+            write_frame(&mut w, &frame).unwrap();
+            assert_eq!(w.out, wire, "step {step}");
+        }
+    }
+
+    /// The reactor's flush parks its cursor inside any piece of any frame
+    /// when the socket fills, and picks up there on the next flush.
+    #[test]
+    fn flush_resumes_inside_every_piece() {
+        let frames = [
+            gathered([10, 100, 10]),
+            gathered([0, 0, 5]),
+            gathered([3, 40, 0]),
+        ];
+        let wire: Vec<u8> = frames.iter().flat_map(|(_, w)| w.clone()).collect();
+        for room in [1, 5, 9, 17, 60, 111, 1000] {
+            let mut ob = Outbound::default();
+            for (frame, _) in &frames {
+                let frame = QueuedFrame::new(frame.clone()).unwrap();
+                ob.bytes += frame.len();
+                ob.queue.push_back(frame);
+            }
+            let mut w = Trickle {
+                out: Vec::new(),
+                step: 7,
+                room,
+            };
+            let mut flushed = 0;
+            loop {
+                let report = ob.flush(&mut w).unwrap();
+                flushed += report.frames;
+                if !report.pending {
+                    break;
+                }
+                w.room = room;
+            }
+            assert_eq!(w.out, wire, "room {room}");
+            assert_eq!(flushed, frames.len());
+            assert_eq!((ob.bytes, ob.head_written), (0, 0));
+        }
+    }
+
+    /// A gathered frame far bigger than the socket buffers, written by a
+    /// blocking sender: every partial write resumes at its cursor.
+    #[test]
+    fn large_gathered_frame_roundtrip() {
+        let (c, s) = tcp_pair();
+        let (frame, wire) = gathered([1_000_003, 2_000_000, 999_997]);
+        let h = std::thread::spawn(move || c.send_segments(frame));
+        assert_eq!(s.recv().unwrap(), wire[4..]);
+        h.join().unwrap().unwrap();
+    }
+
+    /// One visit reads at most `MAX_READ_PER_VISIT` bytes from a peer that
+    /// never runs dry, and leaves the connection open for the next.
+    #[test]
+    fn a_visit_reads_at_most_its_budget() {
+        let frame = vec![9u8; 1000];
+        let unit = [&frame_prefix(frame.len()).unwrap()[..], &frame].concat();
+        let mut decoder = FrameDecoder::default();
+        let mut received = 0;
+        let mut frames = 0;
+        let visit = read_visit(
+            &mut decoder,
+            |buf, max| {
+                // An endless stream of the same frame.
+                buf.extend((received..received + max).map(|i| unit[i % unit.len()]));
+                received += max;
+                Ok(max)
+            },
+            &mut |f| {
+                assert_eq!(f, frame);
+                frames += 1;
+            },
+        );
+        assert_eq!(visit.unwrap(), ReadDrive::Open);
+        assert_eq!(received, MAX_READ_PER_VISIT);
+        assert_eq!(frames, MAX_READ_PER_VISIT / unit.len());
+    }
+
+    /// Over a real socket in reactor mode, a sender that outruns the
+    /// reader is served in visits of bounded size, and nothing is lost.
+    #[test]
+    fn a_firehose_peer_is_read_in_bounded_visits() {
+        let l = TcpListener::bind("127.0.0.1:0").unwrap();
+        let c = Tcp
+            .connect(&Endpoint::tcp(l.local_addr().unwrap().to_string()))
+            .unwrap();
+        let s = TcpConn::new(l.accept().unwrap().0, None).unwrap();
+        s.writer.lock().set_nonblocking(true).unwrap();
+        const FRAMES: usize = 2000;
+        let h = std::thread::spawn(move || {
+            for i in 0..FRAMES as u32 {
+                c.send(Bytes::from(vec![i as u8; 1000])).unwrap();
+            }
+            c
+        });
+        let mut got = 0;
+        while got < FRAMES {
+            let mut bytes = 0;
+            let drive = s
+                .drive_read(&mut |f| {
+                    assert_eq!(f, vec![got as u8; 1000]);
+                    bytes += 4 + f.len();
+                    got += 1;
+                })
+                .unwrap();
+            assert_eq!(drive, ReadDrive::Open);
+            assert!(bytes <= MAX_READ_PER_VISIT + 1004, "{bytes}");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        drop(h.join().unwrap());
     }
 
     #[test]

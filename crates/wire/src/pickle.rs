@@ -203,9 +203,17 @@ impl PickleWriter {
 
     /// Writes a raw byte-string value.
     pub fn put_bytes(&mut self, v: &[u8]) {
-        self.put_raw_u8(tag::BYTES);
-        self.put_varu64(v.len() as u64);
+        self.put_bytes_header(v.len());
         self.put_raw(v);
+    }
+
+    /// Writes the header of a `len`-byte byte string: everything of
+    /// [`PickleWriter::put_bytes`] but the bytes themselves, which the
+    /// caller sends right after this pickle's prefix without copying them
+    /// in.
+    pub fn put_bytes_header(&mut self, len: usize) {
+        self.put_raw_u8(tag::BYTES);
+        self.put_varu64(len as u64);
     }
 
     /// Writes a sequence header; the caller then writes `count` values.

@@ -192,6 +192,57 @@ mod framing {
             prop_assert_eq!(decoder.buffered(), 0);
         }
 
+        /// The transports' read path — the decoder reading into its own
+        /// buffer — yields the frames `extend` yields, whatever each read
+        /// returns: reads short of what was asked, reads capped by a
+        /// limit, frames alive across later reads. Frames reach past
+        /// `MIN_READ`, so reads sized from the declared length are hit.
+        #[test]
+        fn read_with_yields_what_extend_yields(
+            frames in proptest::collection::vec(
+                proptest::collection::vec(any::<u8>(), 0..9000), 1..6),
+            reads in proptest::collection::vec((1usize..20_000, 1usize..70_000), 1..16),
+        ) {
+            let mut stream = BytesMut::new();
+            for f in &frames {
+                encode_frame(&mut stream, f).unwrap();
+            }
+            let bytes = stream.to_vec();
+
+            let mut whole = FrameDecoder::default();
+            whole.extend(&bytes);
+            let mut expect: Vec<Vec<u8>> = Vec::new();
+            while let Some(f) = whole.next_frame().unwrap() {
+                expect.push(f.to_vec());
+            }
+
+            let mut decoder = FrameDecoder::default();
+            let mut got = Vec::new();
+            let mut fed = 0;
+            for &(size, limit) in reads.iter().cycle() {
+                if fed == bytes.len() {
+                    break;
+                }
+                let n = decoder
+                    .read_with(limit, |buf, ask| {
+                        assert!(ask <= limit);
+                        let n = ask.min(size).min(bytes.len() - fed);
+                        buf.extend_from_slice(&bytes[fed..fed + n]);
+                        Ok::<_, ()>(n)
+                    })
+                    .unwrap();
+                fed += n;
+                // Keep the frames, not copies: the next read must leave
+                // them intact.
+                while let Some(f) = decoder.next_frame().unwrap() {
+                    got.push(f);
+                }
+            }
+            let got: Vec<Vec<u8>> = got.iter().map(|f| f.to_vec()).collect();
+            prop_assert_eq!(got, expect);
+            prop_assert_eq!(decoder.buffered(), 0);
+        }
+
         /// Arbitrary garbage never panics the decoder; it either yields
         /// frames or errors on an oversized length.
         #[test]
