@@ -15,10 +15,10 @@
 
 use std::collections::VecDeque;
 use std::sync::atomic::Ordering;
+use std::sync::mpsc::{channel, sync_channel, Receiver, RecvTimeoutError, SyncSender};
 use std::sync::{Arc, Weak};
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::{unbounded, RecvTimeoutError};
 use netobj_transport::clock::recv_deadline;
 use netobj_transport::{Bytes, ClockHandle, Endpoint};
 use netobj_wire::pickle::Pickle;
@@ -65,7 +65,7 @@ pub(crate) enum GcJob {
         wirerep: WireRep,
         owner_ep: Endpoint,
         seqno: u64,
-        notify: crossbeam::channel::Sender<NetResult<()>>,
+        notify: SyncSender<NetResult<()>>,
     },
 }
 
@@ -802,7 +802,7 @@ fn import_ref_fifo(
     });
 
     if needs_dirty {
-        let (tx, rx) = crossbeam::channel::bounded(1);
+        let (tx, rx) = sync_channel(1);
         enqueue(
             space,
             GcJob::AsyncDirty {
@@ -831,7 +831,7 @@ fn import_ref_fifo(
 // ---------------------------------------------------------------------------
 
 pub(crate) fn start_demons(space: &Space) {
-    let (tx, rx) = unbounded::<GcJob>();
+    let (tx, rx) = channel::<GcJob>();
     *space.inner.gc_tx.lock() = Some(tx);
     let weak = Arc::downgrade(&space.inner);
     // Demons keep only a Weak to the space but a strong clock handle: the
@@ -872,11 +872,7 @@ struct CleanIntent {
     attempts: u32,
 }
 
-fn cleanup_loop(
-    weak: Weak<SpaceInner>,
-    rx: crossbeam::channel::Receiver<GcJob>,
-    clock: ClockHandle,
-) {
+fn cleanup_loop(weak: Weak<SpaceInner>, rx: Receiver<GcJob>, clock: ClockHandle) {
     // Retry queue: (due time, intent).
     let mut retries: VecDeque<(Instant, CleanIntent)> = VecDeque::new();
     loop {
@@ -996,7 +992,7 @@ fn do_async_dirty(
     wirerep: WireRep,
     owner_ep: Endpoint,
     seqno: u64,
-    notify: crossbeam::channel::Sender<NetResult<()>>,
+    notify: SyncSender<NetResult<()>>,
 ) {
     let result = send_dirty(space, wirerep, &owner_ep, seqno);
     match result {

@@ -14,6 +14,7 @@
 //! importer choose the narrowest stub it knows.
 
 use std::collections::BTreeMap;
+use std::sync::mpsc::Receiver;
 
 use netobj_transport::Endpoint;
 use netobj_wire::pickle::{Blob, Pickle, PickleReader, PickleWriter};
@@ -85,7 +86,7 @@ pub struct UnmarshalCx<'s, 'a> {
     r: PickleReader<'a>,
     /// FIFO-variant receipts: background dirty registrations that must
     /// complete before this message may be acknowledged.
-    pending: Vec<crossbeam::channel::Receiver<NetResult<()>>>,
+    pending: Vec<Receiver<NetResult<()>>>,
 }
 
 impl<'s, 'a> UnmarshalCx<'s, 'a> {
@@ -118,7 +119,7 @@ impl<'s, 'a> UnmarshalCx<'s, 'a> {
         self.r.expect_end().map_err(Error::from)
     }
 
-    pub(crate) fn push_pending(&mut self, rx: crossbeam::channel::Receiver<NetResult<()>>) {
+    pub(crate) fn push_pending(&mut self, rx: Receiver<NetResult<()>>) {
         self.pending.push(rx);
     }
 

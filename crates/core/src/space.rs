@@ -8,12 +8,12 @@
 
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::mpsc::Sender;
 use std::sync::{Arc, Weak};
 use std::time::{Duration, Instant};
 
 use std::collections::BTreeMap;
 
-use crossbeam::channel::Sender;
 use netobj_rpc::{
     Admission, Backoff, BreakerState, CallClient, CallReply, CircuitBreaker, Dispatch, DispatchCx,
     Dispatcher, FailureClass, RpcError, RpcServer, ServerConfig,

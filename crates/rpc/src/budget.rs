@@ -28,7 +28,8 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use netobj_wire::SpaceId;
 use parking_lot::{Condvar, Mutex};
 
-use crate::pool::Job;
+/// A job runnable on a pool worker.
+pub type Job = Box<dyn FnOnce() + Send + 'static>;
 
 /// Per-client resource limits enforced by a serving space at every
 /// untrusted entry point. `None` disables the corresponding limit.
@@ -149,7 +150,7 @@ impl ClientQueue {
 
 struct FairState {
     // Keyed by an attacker-chosen id: std's SipHash map on purpose, NOT
-    // the FibHasher used elsewhere in this crate (see lib.rs).
+    // the FibHasher kept for process-allocated keys (see lib.rs).
     clients: HashMap<SpaceId, ClientQueue>,
     /// Round-robin ring of clients with at least one queued job; each such
     /// client appears exactly once.
@@ -170,11 +171,10 @@ struct FairInner {
     shed_quota_total: AtomicU64,
 }
 
-/// A worker pool with one queue per client and a fair pick order.
-///
-/// Replaces the single bounded channel of `ThreadPool` on the server's
-/// request path. `queued()` is exact (counted under the queue lock), and
-/// the high-water mark records the deepest backlog ever reached.
+/// A worker pool with one queue per client and a fair pick order: the
+/// workspace's only worker pool, and the server's request path.
+/// `queued()` is exact (counted under the queue lock), and the high-water
+/// mark records the deepest backlog ever reached.
 pub struct FairPool {
     inner: std::sync::Arc<FairInner>,
     handles: Mutex<Vec<std::thread::JoinHandle<()>>>,

@@ -31,11 +31,11 @@
 //! payloads reach unmarshaling without a copy.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
-use crossbeam::channel::{bounded, Receiver, Sender};
 use netobj_transport::clock::{poll_deadline, recv_deadline};
 use netobj_transport::{ClockHandle, Conn, TransportError};
 use netobj_wire::{SpaceId, WireRep};
@@ -83,7 +83,7 @@ enum Slot {
     /// look for it.
     Unparked,
     /// The owner is parked on the receiving end of this channel.
-    Parked(Sender<Wake>),
+    Parked(SyncSender<Wake>),
     /// Settled while the owner was unparked; the owner collects it.
     Done(Outcome),
 }
@@ -316,7 +316,7 @@ impl CallClient {
                     None => return Err(RpcError::Closed),
                     Some(Slot::Done(outcome)) => return outcome,
                     Some(_) if pending.reader_active => {
-                        let (tx, rx) = bounded(1);
+                        let (tx, rx) = sync_channel(1);
                         pending.slots.insert(call_id, Slot::Parked(tx));
                         Some(rx)
                     }

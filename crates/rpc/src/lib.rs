@@ -11,11 +11,11 @@
 //!   concurrent calls over one connection; replies are matched by call id.
 //! - [`server::RpcServer`]: accepts connections and dispatches each request
 //!   on a worker pool to a user-provided [`Dispatcher`].
-//! - [`pool::ThreadPool`]: the general worker pool (the original runtime
-//!   likewise handed each incoming call to a free server thread).
 //! - [`budget`]: per-client [`budget::ResourceBudget`]s and the
-//!   [`budget::FairPool`] the server dispatches on — admission control
-//!   that keeps one abusive peer from starving everyone else.
+//!   [`budget::FairPool`] the server dispatches on (the original runtime
+//!   likewise handed each incoming call to a free server thread), with
+//!   admission control that keeps one abusive peer from starving everyone
+//!   else.
 //!
 //! The layer above (the `netobj` runtime) implements [`Dispatcher`] to
 //! route calls to concrete objects, and issues collector calls (dirty,
@@ -28,15 +28,13 @@ pub mod budget;
 pub mod client;
 pub mod error;
 pub mod msg;
-pub mod pool;
 pub mod resilience;
 pub mod server;
 
-/// A Fibonacci-multiply hasher for the hot-path maps keyed by small
-/// integers (call ids, method numbers). One multiply replaces SipHash's
-/// several rounds; the golden-ratio constant spreads sequential ids across
-/// the table. Not DoS-resistant — use only for keys the process itself
-/// allocates.
+/// A Fibonacci-multiply hasher for the client's pending-call map, whose
+/// keys (call ids) the process allocates itself. One multiply replaces
+/// SipHash's several rounds. Not DoS-resistant: the hash's low bits depend
+/// only on the key's low bits, so keys a peer chooses stay on std's SipHash.
 #[derive(Default)]
 pub(crate) struct FibHasher(u64);
 
@@ -51,10 +49,6 @@ impl std::hash::Hasher for FibHasher {
         }
     }
 
-    fn write_u32(&mut self, v: u32) {
-        self.write_u64(u64::from(v));
-    }
-
     fn write_u64(&mut self, v: u64) {
         self.0 = (self.0 ^ v).wrapping_mul(0x9E37_79B9_7F4A_7C15);
     }
@@ -62,8 +56,6 @@ impl std::hash::Hasher for FibHasher {
 
 pub(crate) type FibHashMap<K, V> =
     std::collections::HashMap<K, V, std::hash::BuildHasherDefault<FibHasher>>;
-pub(crate) type FibHashSet<K> =
-    std::collections::HashSet<K, std::hash::BuildHasherDefault<FibHasher>>;
 
 pub use budget::{ClientUsage, FairAdmit, FairPool, ResourceBudget};
 pub use client::{AckToken, CallClient, CallReply};

@@ -396,20 +396,16 @@ impl AckTable {
 
 /// Remembers recently seen request ids on one connection so that a
 /// duplicating channel cannot execute a call twice. Bounded FIFO window.
+/// The peer chooses the ids, so the set keeps std's keyed SipHash: under
+/// `FibHasher` ids `k << 32` would all probe from one bucket.
+#[derive(Default)]
 struct SeenRequests {
     order: std::collections::VecDeque<u64>,
-    set: crate::FibHashSet<u64>,
+    set: std::collections::HashSet<u64>,
 }
 
 impl SeenRequests {
     const WINDOW: usize = 4096;
-
-    fn new() -> SeenRequests {
-        SeenRequests {
-            order: std::collections::VecDeque::new(),
-            set: crate::FibHashSet::default(),
-        }
-    }
 
     /// Returns false if `id` was already seen (a duplicate to drop).
     fn insert(&mut self, id: u64) -> bool {
@@ -432,6 +428,11 @@ impl SeenRequests {
 /// blocks on I/O, locks held across calls, or deliberate sleeps.
 pub const INLINE_FAST_MICROS: u64 = 200;
 
+/// Most `(object, method)` verdicts one connection's classifier keeps:
+/// object indices are never reused, so without a cap the map would gain
+/// an entry for every object a peer ever calls.
+const FAST_METHODS_CAP: usize = 1024;
+
 /// Adaptive per-connection classifier for the inline fast path.
 ///
 /// Maps `(object, method)` to the last verdict: `true` = the previous
@@ -440,15 +441,17 @@ pub const INLINE_FAST_MICROS: u64 = 200;
 /// call always goes through the worker pool, so a method that blocks
 /// cannot wedge the reactor before it has ever been observed. `None` when
 /// the server runs on a virtual clock (inline dispatch would serialise
-/// virtual-time sleeps the deterministic suites expect to overlap).
+/// virtual-time sleeps the deterministic suites expect to overlap). The
+/// peer chooses the keys, so the map keeps std's keyed SipHash; a new key
+/// past [`FAST_METHODS_CAP`] clears it, and every method starts over.
 struct FastMethods {
-    verdicts: parking_lot::Mutex<crate::FibHashMap<(u64, u32), bool>>,
+    verdicts: parking_lot::Mutex<std::collections::HashMap<(u64, u32), bool>>,
 }
 
 impl FastMethods {
     fn new() -> FastMethods {
         FastMethods {
-            verdicts: parking_lot::Mutex::new(crate::FibHashMap::default()),
+            verdicts: parking_lot::Mutex::new(std::collections::HashMap::new()),
         }
     }
 
@@ -462,7 +465,11 @@ impl FastMethods {
 
     fn observe(&self, key: (u64, u32), service: std::time::Duration) {
         let fast = service.as_micros() <= u128::from(INLINE_FAST_MICROS);
-        self.verdicts.lock().insert(key, fast);
+        let mut verdicts = self.verdicts.lock();
+        if verdicts.len() >= FAST_METHODS_CAP && !verdicts.contains_key(&key) {
+            verdicts.clear();
+        }
+        verdicts.insert(key, fast);
     }
 }
 
@@ -496,8 +503,14 @@ impl ConnCtx {
 
 /// Dispatches one request and sends its reply; shared by the worker path
 /// and the reactor's inline fast path. Returns the method's service time
-/// (on the connection's clock) for the fast-path classifier.
-fn serve_request(ctx: &ConnCtx, rq: Request, enqueued: std::time::Instant) -> std::time::Duration {
+/// (on the connection's clock) for the fast-path classifier, or `None`
+/// when the target object or method does not exist: a made-up key must
+/// not take a place in the classifier.
+fn serve_request(
+    ctx: &ConnCtx,
+    rq: Request,
+    enqueued: std::time::Instant,
+) -> Option<std::time::Duration> {
     let clock = &ctx.clock;
     // While the method runs, virtual time must not jump: the caller is
     // waiting on real work the clock cannot see.
@@ -515,9 +528,16 @@ fn serve_request(ctx: &ConnCtx, rq: Request, enqueued: std::time::Instant) -> st
         .dispatch_cx(cx, rq.caller, rq.target, rq.method, &rq.args);
     let after = clock.now();
     drop(hold);
-    if dispatch.outcome.is_err() {
-        ctx.stats.errors.fetch_add(1, Ordering::Relaxed);
-    }
+    let ran = match &dispatch.outcome {
+        Ok(_) => true,
+        Err(e) => {
+            ctx.stats.errors.fetch_add(1, Ordering::Relaxed);
+            !matches!(
+                e.kind,
+                RemoteErrorKind::NoSuchObject | RemoteErrorKind::NoSuchMethod
+            )
+        }
+    };
     let needs_ack = dispatch.completion.is_some();
     // Register the completion *before* the reply leaves, so the ack can
     // never race past it.
@@ -529,7 +549,7 @@ fn serve_request(ctx: &ConnCtx, rq: Request, enqueued: std::time::Instant) -> st
         // The caller is gone; run the completion immediately.
         ctx.acks.acknowledge(rq.call_id);
     }
-    after.saturating_duration_since(svc_start)
+    ran.then(|| after.saturating_duration_since(svc_start))
 }
 
 /// The per-connection protocol state machine, fed by the reactor from
@@ -622,8 +642,9 @@ impl ConnDriver for ConnState {
                 // the pool. Inline calls bypass queue admission, but the
                 // decoder serialises them, so one connection can hold at
                 // most one at a time.
-                let service = serve_request(ctx, rq, enqueued);
-                fast.observe(fast_key, service);
+                if let Some(service) = serve_request(ctx, rq, enqueued) {
+                    fast.observe(fast_key, service);
+                }
                 return Drive::Continue;
             }
         }
@@ -635,7 +656,7 @@ impl ConnDriver for ConnState {
             caller,
             Box::new(move || {
                 let service = serve_request(&job_ctx, rq, enqueued);
-                if let Some(fast) = &job_ctx.fast {
+                if let (Some(fast), Some(service)) = (&job_ctx.fast, service) {
                     fast.observe(fast_key, service);
                 }
             }),
@@ -727,7 +748,7 @@ impl AcceptDriver for ServerAccept {
             ctx,
             pool: Arc::clone(&self.pool),
             stopped: Arc::clone(&self.stopped),
-            seen: SeenRequests::new(),
+            seen: SeenRequests::default(),
             bound: None,
         }))
     }
@@ -790,6 +811,44 @@ mod tests {
 
     fn target(ix: u64) -> WireRep {
         WireRep::new(SpaceId::from_raw(2), ObjIx(ix))
+    }
+
+    #[test]
+    fn fast_method_classifier_stays_bounded() {
+        let fast = FastMethods::new();
+        let quick = Duration::from_micros(1);
+        for ix in 0..10_000u64 {
+            fast.observe((ix, 0), quick);
+            assert!(fast.verdicts.lock().len() <= FAST_METHODS_CAP);
+        }
+        // Past the cap the map starts over rather than refusing: a method
+        // observed fast afterwards is inlined as before.
+        fast.observe((u64::MAX, 3), quick);
+        assert!(fast.is_fast((u64::MAX, 3)));
+        assert!(!fast.is_fast((u64::MAX, 4)));
+    }
+
+    #[test]
+    fn dup_window_holds_ids_that_share_their_low_bits() {
+        // Peer-chosen ids whose low 32 bits are all zero: the window must
+        // still drop what it holds and admit what it has evicted.
+        const WINDOW: usize = SeenRequests::WINDOW;
+        let id = |k: usize| (k as u64) << 32;
+        let mut seen = SeenRequests::default();
+        for k in 0..2 * WINDOW {
+            assert!(seen.insert(id(k)), "fresh id {k} refused");
+        }
+        for k in WINDOW..2 * WINDOW {
+            assert!(
+                !seen.insert(id(k)),
+                "duplicate {k} inside the window admitted"
+            );
+        }
+        for k in 0..WINDOW {
+            assert!(seen.insert(id(k)), "evicted id {k} refused");
+        }
+        assert_eq!(seen.set.len(), WINDOW);
+        assert_eq!(seen.order.len(), WINDOW);
     }
 
     fn wait_until(what: &str, within: Duration, mut cond: impl FnMut() -> bool) {

@@ -1,7 +1,7 @@
 //! Channel-backed in-process connections and listeners.
 //!
 //! Both the loopback transport and the simulated network hand out
-//! [`ChanConn`]s and `ChanListener`s: queues backed by crossbeam
+//! [`ChanConn`]s and `ChanListener`s: queues backed by std's mpsc
 //! channels. The difference between the two transports is only in what
 //! sits between a sender and the receiver's inbox — nothing (loopback) or
 //! the fault-injecting delivery scheduler (sim), plugged in as a `Route`.
@@ -13,11 +13,11 @@
 //! last sender calls it.
 
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender, TryRecvError};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender, TryRecvError};
 use parking_lot::Mutex;
 
 use crate::endpoint::Endpoint;
@@ -58,7 +58,11 @@ pub(crate) struct Mailbox<T>(Arc<MailboxInner<T>>);
 
 /// The receiving side: the channel, and the slot its senders look in.
 struct Inbox<T> {
-    rx: Receiver<T>,
+    /// Behind a lock only because std's `Receiver` is not `Sync` and a
+    /// `Conn` must be. Each inbox has one reader at a time — the client's
+    /// reader role (its `close` sweeps only after taking that role), the
+    /// reactor, or the accept loop — so the lock is never contended.
+    rx: Mutex<Receiver<T>>,
     slot: Arc<WakerSlot>,
 }
 
@@ -87,12 +91,15 @@ impl<T> Clone for Mailbox<T> {
 
 impl<T> Mailbox<T> {
     fn new() -> (Mailbox<T>, Inbox<T>) {
-        let (tx, rx) = unbounded();
+        let (tx, rx) = channel();
         let slot = Arc::<WakerSlot>::default();
         let hang_up = HangUp(Arc::clone(&slot));
         (
             Mailbox(Arc::new(MailboxInner { tx, hang_up })),
-            Inbox { rx, slot },
+            Inbox {
+                rx: Mutex::new(rx),
+                slot,
+            },
         )
     }
 
@@ -190,15 +197,17 @@ impl ChanConn {
 
     /// Receives until `deadline` (forever if `None`), noticing a close.
     fn recv_until(&self, deadline: Option<Instant>) -> Result<Bytes> {
+        let rx = self.inbox.rx.lock();
         loop {
             let step = deadline.map_or(CLOSE_POLL, |d| {
                 d.saturating_duration_since(Instant::now()).min(CLOSE_POLL)
             });
-            match self.inbox.rx.recv_timeout(step) {
+            match rx.recv_timeout(step) {
                 Ok(f) => return Ok(f),
                 Err(RecvTimeoutError::Timeout) => {
-                    if self.closed.is_closed() && self.inbox.rx.is_empty() {
-                        return Err(TransportError::Closed);
+                    if self.closed.is_closed() {
+                        // Queued frames drain before the close is reported.
+                        return rx.try_recv().map_err(|_| TransportError::Closed);
                     }
                     if deadline.is_some_and(|d| Instant::now() >= d) {
                         return Err(TransportError::Timeout);
@@ -258,8 +267,9 @@ impl Pollable for ChanConn {
     }
 
     fn drive_read(&self, sink: &mut dyn FnMut(Bytes)) -> Result<ReadDrive> {
+        let rx = self.inbox.rx.lock();
         for _ in 0..MAX_FRAMES_PER_VISIT {
-            match self.inbox.rx.try_recv() {
+            match rx.try_recv() {
                 Ok(frame) => sink(frame),
                 Err(TryRecvError::Empty) => {
                     if !self.closed.is_closed() {
@@ -268,8 +278,9 @@ impl Pollable for ChanConn {
                     // Closed — unless a frame sent just before the close
                     // landed after the look above: queued frames drain
                     // before the close is reported.
-                    if self.inbox.rx.is_empty() {
-                        return Ok(ReadDrive::Closed);
+                    match rx.try_recv() {
+                        Ok(frame) => sink(frame),
+                        Err(_) => return Ok(ReadDrive::Closed),
                     }
                 }
                 Err(TryRecvError::Disconnected) => return Ok(ReadDrive::Closed),
@@ -316,7 +327,11 @@ impl ChanListener {
 
 impl Listener for ChanListener {
     fn accept(&self) -> Result<Box<dyn Conn>> {
-        self.incoming.rx.recv().map_err(|_| TransportError::Closed)
+        self.incoming
+            .rx
+            .lock()
+            .recv()
+            .map_err(|_| TransportError::Closed)
     }
 
     fn local_endpoint(&self) -> Endpoint {
@@ -345,7 +360,7 @@ impl PollableListener for ChanListener {
     }
 
     fn accept_nonblocking(&self) -> Result<AcceptPoll> {
-        match self.incoming.rx.try_recv() {
+        match self.incoming.rx.lock().try_recv() {
             Ok(conn) => Ok(AcceptPoll::Conn(conn)),
             Err(TryRecvError::Empty) => Ok(AcceptPoll::WouldBlock),
             // Unlistened, and every connection made before that accepted.

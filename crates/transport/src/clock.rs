@@ -23,10 +23,10 @@
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::mpsc::{Receiver, RecvTimeoutError};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::{Receiver, RecvTimeoutError};
 use parking_lot::{Condvar, Mutex};
 
 /// A source of monotonic time plus the ability to wait on it.
@@ -491,7 +491,7 @@ mod tests {
 
     #[test]
     fn recv_deadline_times_out_virtually() {
-        let (_tx, rx) = crossbeam::channel::unbounded::<u8>();
+        let (_tx, rx) = std::sync::mpsc::channel::<u8>();
         let c = VirtualClock::new();
         let t0 = Instant::now();
         let got = recv_deadline(&c, &rx, Duration::from_secs(2));
@@ -502,7 +502,7 @@ mod tests {
 
     #[test]
     fn recv_deadline_delivers_messages() {
-        let (tx, rx) = crossbeam::channel::unbounded::<u8>();
+        let (tx, rx) = std::sync::mpsc::channel::<u8>();
         let c = Arc::new(VirtualClock::new());
         // The sender holds the clock while it works: the receiver must not
         // auto-advance to its own 60s deadline in the meantime.
@@ -522,7 +522,7 @@ mod tests {
         // The thread that queued the work is the one waiting on the clock:
         // unlike a hold of its own, the queued work is not suspended by that
         // wait, so its 60s deadline cannot pass before the work is taken.
-        let (tx, rx) = crossbeam::channel::unbounded::<u8>();
+        let (tx, rx) = std::sync::mpsc::channel::<u8>();
         let c = Arc::new(VirtualClock::new());
         c.work_queued();
         let taker = {

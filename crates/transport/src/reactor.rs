@@ -909,6 +909,19 @@ mod tests {
         Bytes::from(i.to_le_bytes().to_vec())
     }
 
+    /// Reports each frame, and `None` for the close.
+    struct Record(std::sync::mpsc::Sender<Option<Bytes>>);
+
+    impl ConnDriver for Record {
+        fn on_frame(&mut self, frame: Bytes) -> Drive {
+            let _ = self.0.send(Some(frame));
+            Drive::Continue
+        }
+        fn on_close(&mut self) {
+            let _ = self.0.send(None);
+        }
+    }
+
     /// Frames that reached the inbox before the connection had a waker
     /// were announced to nobody, and more of them than one visit takes
     /// (256) outlast that visit with no fd to re-report them: registration
@@ -994,17 +1007,6 @@ mod tests {
     #[test]
     fn frames_in_flight_outlive_the_half_that_sent_them() {
         use crate::sim::{LinkConfig, SimNet};
-        /// Reports each frame, and `None` for the close.
-        struct Record(crossbeam::channel::Sender<Option<Bytes>>);
-        impl ConnDriver for Record {
-            fn on_frame(&mut self, frame: Bytes) -> Drive {
-                let _ = self.0.send(Some(frame));
-                Drive::Continue
-            }
-            fn on_close(&mut self) {
-                let _ = self.0.send(None);
-            }
-        }
         let net = SimNet::new(LinkConfig::with_latency(Duration::from_millis(20)));
         let listener = net.listen(&Endpoint::sim("srv")).unwrap();
         let patience = Duration::from_secs(5);
@@ -1022,7 +1024,7 @@ mod tests {
         let client = net.connect(&Endpoint::sim("srv")).unwrap();
         let server = listener.accept().unwrap();
         let reactor = tickless_reactor();
-        let (seen_tx, seen) = crossbeam::channel::unbounded();
+        let (seen_tx, seen) = std::sync::mpsc::channel();
         reactor
             .register_conn(Arc::from(server), Box::new(Record(seen_tx)))
             .unwrap();
@@ -1031,6 +1033,34 @@ mod tests {
         drop(client);
         assert_eq!(seen.recv_timeout(patience), Ok(Some(numbered(2))));
         assert_eq!(seen.recv_timeout(patience), Ok(None));
+    }
+
+    /// The reactor twin of `chan`'s blocking-`recv` test: frames sent
+    /// before a `close` reach a reactor-driven half before the close does,
+    /// even when they take more than one visit (256 frames) to drain.
+    #[test]
+    fn queued_frames_reach_the_reactor_before_the_close() {
+        const N: u32 = 300;
+        let patience = Duration::from_secs(5);
+        for (transport, ep) in in_process_transports() {
+            let listener = transport.listen(&ep).unwrap();
+            let client = transport.connect(&ep).unwrap();
+            let server = listener.accept().unwrap();
+            let reactor = tickless_reactor();
+            let (seen_tx, seen) = std::sync::mpsc::channel();
+            reactor
+                .register_conn(Arc::from(server), Box::new(Record(seen_tx)))
+                .unwrap();
+            wait_until(|| reactor.stats().connections == 1);
+            for i in 0..N {
+                client.send(numbered(i)).unwrap();
+            }
+            client.close();
+            for i in 0..N {
+                assert_eq!(seen.recv_timeout(patience), Ok(Some(numbered(i))), "{ep}");
+            }
+            assert_eq!(seen.recv_timeout(patience), Ok(None), "{ep}");
+        }
     }
 
     /// A wake-up waiting for a busy reactor is work nobody is doing yet:
