@@ -45,8 +45,22 @@ pub mod methods {
     pub const CLEAN_BATCH: u32 = 4;
 }
 
-/// Largest accepted `CLEAN_BATCH` (the demon sends at most 64 per round).
+/// Largest accepted `CLEAN_BATCH` (the demon sends at most
+/// [`ROUND_JOBS`] per round).
 pub(crate) const MAX_CLEAN_BATCH: usize = 4096;
+
+/// The most jobs the cleanup demon takes in one round.
+const ROUND_JOBS: usize = 64;
+
+/// How long the cleanup demon waits, once a round opens with a clean, for
+/// more cleans to queue behind it: drops come in bursts, and the cleans of
+/// one round travel as one `clean_batch` per owner instead of one RPC each.
+/// A clean is the one collector message that may be late — a later clean
+/// only delays reclaim, safety rests on sequence numbers and the
+/// transient-dirty pin — so the bound on the cost is this much more
+/// reclaim lag. The demon sleeps rather than waiting on its queue: waking
+/// on every send would cost the wake-up per drop that batching saves.
+const CLEAN_LINGER: Duration = Duration::from_millis(1);
 
 /// Work items for the cleanup demon.
 pub(crate) enum GcJob {
@@ -837,9 +851,12 @@ pub(crate) fn start_demons(space: &Space) {
     // Demons keep only a Weak to the space but a strong clock handle: the
     // clock outliving the space is harmless, the reverse would leak it.
     let clock = space.inner.options.clock.clone();
+    // Not in the FIFO variant: there `AsyncDirty` shares the queue, and a
+    // caller's acknowledgement waits for it.
+    let linger = space.inner.options.batch_cleans && !space.inner.options.fifo_variant;
     let demon = std::thread::Builder::new()
         .name("netobj-cleanup".into())
-        .spawn(move || cleanup_loop(weak, rx, clock))
+        .spawn(move || cleanup_loop(weak, rx, clock, linger))
         .expect("spawn cleanup demon");
     *space.inner.demon.lock() = Some(demon);
 
@@ -872,7 +889,9 @@ struct CleanIntent {
     attempts: u32,
 }
 
-fn cleanup_loop(weak: Weak<SpaceInner>, rx: Receiver<GcJob>, clock: ClockHandle) {
+/// The cleanup demon. With `linger`, a round that opens with a clean
+/// waits [`CLEAN_LINGER`] before it takes the rest of the round.
+fn cleanup_loop(weak: Weak<SpaceInner>, rx: Receiver<GcJob>, clock: ClockHandle, linger: bool) {
     // Retry queue: (due time, intent).
     let mut retries: VecDeque<(Instant, CleanIntent)> = VecDeque::new();
     loop {
@@ -881,29 +900,28 @@ fn cleanup_loop(weak: Weak<SpaceInner>, rx: Receiver<GcJob>, clock: ClockHandle)
             .map(|(due, _)| due.saturating_duration_since(clock.now()))
             .unwrap_or(Duration::from_millis(100))
             .min(Duration::from_millis(100));
-        let first = recv_deadline(clock.as_dyn(), &rx, step);
-        let Some(inner) = weak.upgrade() else { return };
-        if inner.stopped.load(Ordering::Acquire) {
-            return;
-        }
-        let space = Space::from_inner(inner);
-
         // Gather a burst of jobs so cleans destined for the same owner
         // can travel together.
         let mut jobs: Vec<GcJob> = Vec::new();
-        match first {
+        match recv_deadline(clock.as_dyn(), &rx, step) {
             Ok(job) => {
+                let clean_first =
+                    matches!(job, GcJob::Unreachable { .. } | GcJob::SendClean { .. });
                 jobs.push(job);
-                while jobs.len() < 64 {
-                    match rx.try_recv() {
-                        Ok(job) => jobs.push(job),
-                        Err(_) => break,
-                    }
+                jobs.extend(rx.try_iter().take(ROUND_JOBS - jobs.len()));
+                if linger && clean_first && jobs.len() < ROUND_JOBS {
+                    clock.sleep(CLEAN_LINGER);
+                    jobs.extend(rx.try_iter().take(ROUND_JOBS - jobs.len()));
                 }
             }
             Err(RecvTimeoutError::Timeout) => {}
             Err(RecvTimeoutError::Disconnected) => return,
         }
+        let Some(inner) = weak.upgrade() else { return };
+        if inner.stopped.load(Ordering::Acquire) {
+            return;
+        }
+        let space = Space::from_inner(inner);
 
         let mut intents: Vec<CleanIntent> = Vec::new();
         for job in jobs {

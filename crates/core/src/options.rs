@@ -46,7 +46,13 @@ pub struct Options {
     /// Batch clean calls: the cleanup demon coalesces cleans queued for
     /// the same owner into one RPC (the paper's batching optimisation for
     /// collector traffic). Semantics are unchanged — each entry still
-    /// carries its own sequence number.
+    /// carries its own sequence number. So that drops arriving one by one
+    /// still coalesce, the demon waits 1 ms (on this space's clock) after
+    /// the first clean of a round before sending it: reclaim may lag by up
+    /// to that much more. It does not wait in the FIFO variant, where
+    /// background dirty calls share its queue and a caller's
+    /// acknowledgement waits for them. `false` sends every clean at once,
+    /// alone, with no wait.
     pub batch_cleans: bool,
     /// Retry policy for outgoing calls. The default retries only failures
     /// where the request provably never reached the callee (*not-delivered*

@@ -1008,7 +1008,7 @@ impl Dispatcher for SpaceDispatcher {
         stats.calls_served.fetch_add(1, Ordering::Relaxed);
 
         // Continue the caller's trace, or root a fresh one for requests
-        // from peers predating the span header (ids 0). The scope guard
+        // from untraced callers (ids 0). The scope guard
         // makes the ids ambient on this worker thread, so any remote call
         // the method body issues becomes a child span of this one.
         let trace_id = if cx.trace_id != 0 {

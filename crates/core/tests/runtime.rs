@@ -10,7 +10,7 @@ use std::time::{Duration, Instant};
 use netobj::wire::ObjIx;
 use netobj::{network_object, Error, Handle, NetResult, Options, Space};
 use netobj_transport::sim::{LinkConfig, SimNet};
-use netobj_transport::Endpoint;
+use netobj_transport::{ClockHandle, Endpoint};
 use parking_lot::Mutex;
 
 network_object! {
@@ -540,73 +540,154 @@ fn stopped_space_refuses_work() {
     ));
 }
 
-#[test]
-fn mass_drop_batches_clean_calls() {
-    let net = SimNet::instant();
-    let owner = space_on(&net, "owner", Options::fast());
+/// Holds `net`'s virtual time still until dropped. It counts as work in
+/// progress that no thread owns, so no waiter can suspend it and no
+/// deadline passes: calls still complete (their replies arrive in real
+/// time), but the demon's linger cannot end, and a loaded host cannot make
+/// the clock jump.
+struct Frozen(ClockHandle);
+
+impl Frozen {
+    fn new(net: &SimNet) -> Frozen {
+        let clock = net.clock();
+        clock.as_virtual().expect("virtual clock").work_queued();
+        Frozen(clock)
+    }
+}
+
+impl Drop for Frozen {
+    fn drop(&mut self) {
+        self.0.as_virtual().expect("virtual clock").work_taken(1);
+    }
+}
+
+/// Options on `net`'s virtual clock.
+fn virtual_options(net: &SimNet) -> Options {
+    Options {
+        clock: net.clock(),
+        ..Options::fast()
+    }
+}
+
+/// An owner exporting a registry stocked with `n` owner-side counters
+/// (`c0`, `c1`, …), and a client holding a surrogate for the registry.
+fn stocked_registry(net: &Arc<SimNet>, n: usize, opts: Options) -> (Space, Space, RegistryClient) {
+    let owner = space_on(net, "owner", opts.clone());
     owner.export(new_registry()).unwrap();
-    let client = space_on(&net, "client", Options::fast());
-    let registry = RegistryClient::narrow(
-        client
-            .import_root(&Endpoint::sim("owner"), ObjIx::FIRST_USER)
-            .unwrap(),
-    )
-    .unwrap();
-    // Stock the registry with counters owned by the owner space, then pull
-    // remote handles for all of them.
     let owner_registry = RegistryClient::narrow(
         owner
             .import_root(&Endpoint::sim("owner"), ObjIx::FIRST_USER)
             .unwrap(),
     )
     .unwrap();
-    // Whether a burst of drops coalesces depends on the demon's wakeup
-    // landing after the whole burst is enqueued; under heavy host load the
-    // demon can be scheduled between individual drops and send solo cleans.
-    // Batching is best-effort by design, so the test retries the scenario
-    // until one burst travels together rather than asserting on a single
-    // schedule-dependent round.
-    for round in 0..5 {
-        for i in 0..16 {
-            let c = CounterClient::narrow(owner.local(new_counter())).unwrap();
-            owner_registry.put(format!("c{round}_{i}"), c).unwrap();
-        }
-        let mut held = Vec::new();
-        for i in 0..16 {
-            held.push(
-                registry
-                    .get(format!("c{round}_{i}"))
-                    .unwrap()
-                    .expect("present"),
-            );
-        }
-        assert_eq!(owner.exported_count(), 17);
-
-        // Drop them all at once: the cleanup demon should coalesce the
-        // clean calls into far fewer RPCs.
-        drop(held);
-        wait_until("all collected", || owner.exported_count() == 1);
-        let stats = client.stats();
-        assert_eq!(
-            stats.clean_sent,
-            16 * (round as u64 + 1),
-            "one clean entry per reference"
-        );
-        if stats.clean_batches >= 1 {
-            return;
-        }
+    for i in 0..n {
+        let c = CounterClient::narrow(owner.local(new_counter())).unwrap();
+        owner_registry.put(format!("c{i}"), c).unwrap();
     }
-    panic!(
-        "no batched clean RPC in 5 rounds of 16 simultaneous drops: {:?}",
-        client.stats()
-    );
+    let client = space_on(net, "client", opts);
+    let registry = RegistryClient::narrow(
+        client
+            .import_root(&Endpoint::sim("owner"), ObjIx::FIRST_USER)
+            .unwrap(),
+    )
+    .unwrap();
+    (owner, client, registry)
+}
+
+#[test]
+fn fifo_variant_dirty_is_not_delayed_by_the_linger() {
+    // In the FIFO variant a background dirty shares the demon's queue, and
+    // the acknowledgement of the call that carried the reference waits for
+    // it. Queued right behind a drop's clean, it must not wait out the
+    // linger: with virtual time held still, the call still returns.
+    let net = SimNet::virtual_time(LinkConfig::instant(), 4);
+    let opts = Options {
+        fifo_variant: true,
+        ..virtual_options(&net)
+    };
+    let frozen = Frozen::new(&net);
+    let (_owner, client, registry) = stocked_registry(&net, 2, opts);
+    let first = registry.get("c0".into()).unwrap().expect("present");
+    let dirty_before = client.stats().dirty_sent;
+    drop(first);
+    // The call runs on its own thread so that a call stuck behind the
+    // linger fails this test instead of hanging it.
+    let (tx, rx) = std::sync::mpsc::channel();
+    let caller = {
+        let registry = registry.clone();
+        std::thread::spawn(move || {
+            let _ = tx.send(registry.get("c1".into()));
+        })
+    };
+    let got = rx.recv_timeout(Duration::from_secs(10));
+    drop(frozen);
+    caller.join().unwrap();
+    let second = got
+        .expect("the carrying call waited for virtual time")
+        .unwrap()
+        .expect("present");
+    assert_eq!(client.stats().dirty_sent - dirty_before, 1);
+    wait_until("first cleaned", || client.stats().clean_sent == 1);
+    drop(second);
+}
+
+#[test]
+fn mass_drop_batches_clean_calls() {
+    let net = SimNet::virtual_time(LinkConfig::instant(), 1);
+    let frozen = Frozen::new(&net);
+    let (owner, client, registry) = stocked_registry(&net, 16, virtual_options(&net));
+    let held: Vec<CounterClient> = (0..16)
+        .map(|i| registry.get(format!("c{i}")).unwrap().expect("present"))
+        .collect();
+    assert_eq!(owner.exported_count(), 17);
+
+    // Drop them all at once. The demon's linger ends only once virtual
+    // time moves, by which point every drop is queued: one round.
+    drop(held);
+    drop(frozen);
+    wait_until("all collected", || owner.exported_count() == 1);
+    let stats = client.stats();
+    assert_eq!(stats.clean_sent, 16, "one clean entry per reference");
+    assert_eq!(stats.clean_batches, 1, "one batched RPC: {stats:?}");
+}
+
+#[test]
+fn steady_drops_share_clean_rpcs() {
+    // One reference minted and dropped per call, 256 times over one
+    // connection, all inside one linger (virtual time stands still): the
+    // cleans leave in full rounds. Without the linger the demon sends
+    // about one RPC per drop.
+    const CYCLES: u64 = 256;
+    let net = SimNet::virtual_time(LinkConfig::instant(), 2);
+    let frozen = Frozen::new(&net);
+    let (owner, client, registry) = stocked_registry(&net, CYCLES as usize, virtual_options(&net));
+    let before = owner.stats();
+    for i in 0..CYCLES {
+        drop(registry.get(format!("c{i}")).unwrap().expect("present"));
+    }
+    drop(frozen);
+    wait_until("all collected", || owner.exported_count() == 1);
+    let after = owner.stats();
+    assert_eq!(client.stats().clean_sent, CYCLES);
+    assert_eq!(after.clean_received - before.clean_received, CYCLES);
+    // Every call the owner served in the loop was a `get`, a dirty or a
+    // clean RPC (single or batched); a round carries at most 64 cleans.
+    let clean_rpcs = (after.calls_served - before.calls_served)
+        - CYCLES
+        - (after.dirty_received - before.dirty_received);
+    assert_eq!(clean_rpcs, CYCLES / 64, "{:?}", client.stats());
 }
 
 #[test]
 fn unbatched_mode_sends_individual_cleans() {
-    let net = SimNet::instant();
-    let mut opts = Options::fast();
-    opts.batch_cleans = false;
+    // With batching off the demon does not linger: the clean is sent
+    // while virtual time stands still.
+    let net = SimNet::virtual_time(LinkConfig::instant(), 3);
+    let opts = Options {
+        batch_cleans: false,
+        ..virtual_options(&net)
+    };
+    let _frozen = Frozen::new(&net);
     let owner = space_on(&net, "owner", opts.clone());
     owner.export(new_counter()).unwrap();
     let client = space_on(&net, "client", opts);

@@ -37,7 +37,7 @@ pub struct Request {
     /// Causal trace identifier: allocated at the root caller of a call
     /// chain and propagated unchanged through every fan-out hop, so spans
     /// recorded in different spaces can be correlated. `0` means absent
-    /// (a request decoded from a peer speaking the pre-span format).
+    /// (an untraced caller).
     pub trace_id: u64,
     /// Identifier of this particular call within its trace. `0` = absent.
     pub span_id: u64,
@@ -103,28 +103,17 @@ impl RpcMsg {
         match r.begin_variant()? {
             TAG_REQUEST => {
                 let fields = r.begin_record()?;
-                if fields != 5 && fields != 7 {
+                if fields != 7 {
                     return Err(WireError::OutOfRange("request record arity"));
                 }
-                let call_id = u64::unpickle(r)?;
-                let caller = SpaceId::unpickle(r)?;
-                let target = WireRep::unpickle(r)?;
-                let method = u32::unpickle(r)?;
-                let args = payload(r, src)?;
-                // Old peers send the 5-field form with no span header.
-                let (trace_id, span_id) = if fields == 7 {
-                    (u64::unpickle(r)?, u64::unpickle(r)?)
-                } else {
-                    (0, 0)
-                };
                 Ok(RpcMsg::Request(Request {
-                    call_id,
-                    caller,
-                    target,
-                    method,
-                    args,
-                    trace_id,
-                    span_id,
+                    call_id: u64::unpickle(r)?,
+                    caller: SpaceId::unpickle(r)?,
+                    target: WireRep::unpickle(r)?,
+                    method: u32::unpickle(r)?,
+                    args: payload(r, src)?,
+                    trace_id: u64::unpickle(r)?,
+                    span_id: u64::unpickle(r)?,
                 }))
             }
             TAG_REPLY_OK => {
@@ -165,9 +154,6 @@ impl RpcMsg {
         match self {
             RpcMsg::Request(rq) => {
                 w.begin_variant(TAG_REQUEST);
-                // The span fields were appended in a later wire revision:
-                // a request is a 7-field record now, but decoders accept
-                // the original 5-field form from old peers.
                 w.begin_record(7);
                 rq.call_id.pickle(w);
                 rq.caller.pickle(w);
@@ -419,33 +405,6 @@ mod tests {
         });
         let bytes = m.to_pickle_bytes();
         assert_eq!(RpcMsg::from_pickle_bytes(&bytes).unwrap(), m);
-    }
-
-    /// A request in the original 5-field format (from a peer predating the
-    /// span header) still decodes; the ids default to absent.
-    #[test]
-    fn old_format_request_accepted() {
-        let mut w = PickleWriter::new();
-        w.begin_variant(0); // TAG_REQUEST
-        w.begin_record(5);
-        77u64.pickle(&mut w);
-        SpaceId::from_raw(3).pickle(&mut w);
-        WireRep::new(SpaceId::from_raw(4), ObjIx(9)).pickle(&mut w);
-        5u32.pickle(&mut w);
-        w.put_bytes(&[8, 8]);
-        let decoded = RpcMsg::from_pickle_bytes(w.as_bytes()).unwrap();
-        assert_eq!(
-            decoded,
-            RpcMsg::Request(Request {
-                call_id: 77,
-                caller: SpaceId::from_raw(3),
-                target: WireRep::new(SpaceId::from_raw(4), ObjIx(9)),
-                method: 5,
-                args: Bytes::from(vec![8, 8]),
-                trace_id: 0,
-                span_id: 0,
-            })
-        );
     }
 
     #[test]

@@ -72,7 +72,7 @@ impl From<Result<Vec<u8>, RemoteError>> for Dispatch {
 
 /// Per-request observability context the server hands to
 /// [`Dispatcher::dispatch_cx`]: the causal span identifiers decoded from
-/// the request header (`0` = absent, e.g. an old peer) plus the time the
+/// the request header (`0` = absent: an untraced caller) plus the time the
 /// request spent waiting in the worker queue, measured on the server's
 /// clock (virtual time under a virtual clock).
 #[derive(Debug, Clone, Copy, Default)]

@@ -1,14 +1,14 @@
 //! Property-based tests for the RPC message format, centred on the span
 //! header added to requests: ids round-trip bit-exactly for every frame
-//! kind, and the original 5-field request form (peers predating the span
-//! header) always decodes with the ids reported absent.
+//! kind, and the original 5-field request form, without the span
+//! header, is refused.
 
 use proptest::prelude::*;
 
 use netobj_rpc::msg::{Reply, Request, RpcMsg};
 use netobj_rpc::{RemoteError, RemoteErrorKind};
 use netobj_wire::pickle::{Pickle, PickleWriter};
-use netobj_wire::{ObjIx, SpaceId, WireRep};
+use netobj_wire::{ObjIx, SpaceId, WireError, WireRep};
 
 fn arb_request() -> impl Strategy<Value = Request> {
     (
@@ -72,11 +72,10 @@ proptest! {
         prop_assert_eq!(RpcMsg::from_pickle_bytes(&bytes).unwrap(), m);
     }
 
-    /// A request hand-encoded in the original 5-field format (an old peer
-    /// that has never heard of spans) decodes to the same request with
-    /// both ids absent.
+    /// A request hand-encoded in the original 5-field format, without the
+    /// span header, is refused as a record of the wrong arity.
     #[test]
-    fn old_format_decodes_with_ids_absent(rq in arb_request()) {
+    fn old_format_is_rejected(rq in arb_request()) {
         let mut w = PickleWriter::new();
         w.begin_variant(0); // TAG_REQUEST
         w.begin_record(5);
@@ -85,10 +84,9 @@ proptest! {
         rq.target.pickle(&mut w);
         rq.method.pickle(&mut w);
         w.put_bytes(&rq.args);
-        let decoded = RpcMsg::from_pickle_bytes(w.as_bytes()).unwrap();
         prop_assert_eq!(
-            decoded,
-            RpcMsg::Request(Request { trace_id: 0, span_id: 0, ..rq })
+            RpcMsg::from_pickle_bytes(w.as_bytes()),
+            Err(WireError::OutOfRange("request record arity"))
         );
     }
 

