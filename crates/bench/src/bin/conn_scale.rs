@@ -20,12 +20,10 @@
 //!                                #   smoke); --secs S to change the hold
 //! ```
 //!
-//! Rungs that would exceed the process fd limit (three fds per connection:
-//! the client's raw socket plus the server `TcpConn`'s reader/writer pair,
-//! all in this process) are clamped and marked.
+//! Rungs that would exceed the process fd limit (two fds per connection:
+//! one socket at each end, both in this process) are clamped and marked.
+//! A rung with any failed call makes the run exit 1.
 
-use std::io::{Read, Write};
-use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -33,7 +31,7 @@ use netobj_bench::print_table;
 use netobj_rpc::msg::{Request, RpcMsg};
 use netobj_rpc::{Dispatch, Dispatcher, RpcServer, ServerConfig};
 use netobj_transport::tcp::Tcp;
-use netobj_transport::{Bytes, Endpoint, Transport};
+use netobj_transport::{Bytes, Conn, Endpoint, Transport};
 use netobj_wire::{ObjIx, SpaceId, WireRep};
 
 const OUT_PATH: &str = "BENCH_rpc_throughput.json";
@@ -127,10 +125,10 @@ fn run_sweep(quick: bool) {
     } else {
         &[1000, 4000, 10_000]
     };
-    // Three fds per connection (client socket + the server conn's
-    // reader/writer stream pair, all in this process), plus slack for the
-    // listener, epoll, stdio, and whatever the harness already holds.
-    let conn_cap = fd_limit().map(|soft| soft.saturating_sub(128) / 3);
+    // Two fds per connection (one socket at each end, both in this
+    // process), plus slack for the listener, epoll, stdio, and whatever the
+    // harness already holds.
+    let conn_cap = fd_limit().map(|soft| soft.saturating_sub(128) / 2);
 
     let listener = match Tcp.listen(&Endpoint::tcp("127.0.0.1:0")) {
         Ok(l) => l,
@@ -163,7 +161,7 @@ fn run_sweep(quick: bool) {
         }
         let before = server.reactor_stats();
         eprintln!("conn_scale: rung {requested}: ramping {n} connections");
-        let r = run_rung(requested, n, addr.addr(), quick);
+        let r = run_rung(requested, n, &addr, quick);
         if let (Some(b), Some(a)) = (before, server.reactor_stats()) {
             let frames = a.frames_flushed.saturating_sub(b.frames_flushed);
             let syscalls = a.flush_syscalls.saturating_sub(b.flush_syscalls);
@@ -181,6 +179,10 @@ fn run_sweep(quick: bool) {
     }
 
     report(&results, quick);
+    if results.iter().any(|r| r.errors > 0) {
+        eprintln!("conn_scale: a rung had failed calls");
+        std::process::exit(1);
+    }
 }
 
 /// Waits for the reactor to observe every client close from the previous
@@ -195,7 +197,7 @@ fn drain_rung(server: &RpcServer) {
     }
 }
 
-fn run_rung(requested: usize, n: usize, addr: &str, quick: bool) -> RungResult {
+fn run_rung(requested: usize, n: usize, addr: &Endpoint, quick: bool) -> RungResult {
     // Enough calls that every connection is exercised a few times, capped so
     // the full sweep stays in bench-smoke territory.
     let calls_total = if quick { 2 * n } else { (4 * n).min(40_000) };
@@ -237,61 +239,25 @@ fn run_rung(requested: usize, n: usize, addr: &str, quick: bool) -> RungResult {
     }
 }
 
-/// One client connection: a raw socket speaking the length-prefixed frame
-/// format directly, so it costs one fd (a `TcpConn` would cost two — its
-/// reader/writer clone pair — halving the connection count that fits under
-/// `RLIMIT_NOFILE` with both ends in this process).
-struct RawConn {
-    stream: TcpStream,
-    caller: SpaceId,
-    next_id: u64,
-}
-
-impl RawConn {
-    fn open(addr: &str) -> std::io::Result<RawConn> {
-        let stream = TcpStream::connect(addr)?;
-        stream.set_nodelay(true)?;
-        stream.set_read_timeout(Some(CALL_TIMEOUT))?;
-        Ok(RawConn {
-            stream,
-            caller: SpaceId::fresh(),
-            next_id: 0,
-        })
-    }
-
-    fn send_frame(&mut self, frame: &[u8]) -> std::io::Result<()> {
-        let mut buf = Vec::with_capacity(4 + frame.len());
-        buf.extend_from_slice(&(frame.len() as u32).to_le_bytes());
-        buf.extend_from_slice(frame);
-        self.stream.write_all(&buf)
-    }
-
-    fn recv_frame(&mut self) -> std::io::Result<Bytes> {
-        let mut prefix = [0u8; 4];
-        self.stream.read_exact(&mut prefix)?;
-        let len = u32::from_le_bytes(prefix) as usize;
-        let mut frame = vec![0u8; len];
-        self.stream.read_exact(&mut frame)?;
-        Ok(Bytes::from(frame))
-    }
-}
-
 /// One load-generator thread: owns `share` connections, each with its own
 /// caller identity; warms every connection, then spreads `calls` sequential
 /// ping-pong calls round-robin across the set.
-fn worker(addr: &str, share: usize, calls: usize) -> (Vec<u64>, u64) {
-    let mut conns: Vec<RawConn> = Vec::with_capacity(share);
+fn worker(addr: &Endpoint, share: usize, calls: usize) -> (Vec<u64>, u64) {
+    let mut conns: Vec<(Box<dyn Conn>, SpaceId)> = Vec::with_capacity(share);
     let mut errors = 0u64;
     for _ in 0..share {
-        match RawConn::open(addr) {
-            Ok(c) => conns.push(c),
+        match Tcp.connect(addr) {
+            Ok(c) => conns.push((c, SpaceId::fresh())),
             Err(_) => errors += 1,
         }
     }
+    // Call ids only grow, so no connection ever repeats one.
+    let mut call_id = 0;
     // Warmup: one call per connection binds its identity on the server and
     // feeds the adaptive classifier so measured calls take the inline path.
-    for c in &mut conns {
-        if !call_once(c) {
+    for (conn, caller) in &conns {
+        call_id += 1;
+        if !call_once(&**conn, *caller, call_id) {
             errors += 1;
         }
     }
@@ -300,9 +266,10 @@ fn worker(addr: &str, share: usize, calls: usize) -> (Vec<u64>, u64) {
         return (lat, errors + calls as u64);
     }
     for i in 0..calls {
-        let ix = i % conns.len();
+        let (conn, caller) = &conns[i % conns.len()];
+        call_id += 1;
         let start = Instant::now();
-        if call_once(&mut conns[ix]) {
+        if call_once(&**conn, *caller, call_id) {
             lat.push(start.elapsed().as_micros().min(u64::MAX as u128) as u64);
         } else {
             errors += 1;
@@ -314,30 +281,27 @@ fn worker(addr: &str, share: usize, calls: usize) -> (Vec<u64>, u64) {
 
 /// Issues one echo call on `conn` and waits for its reply. Returns false on
 /// any transport or protocol error.
-fn call_once(conn: &mut RawConn) -> bool {
-    conn.next_id += 1;
-    let call_id = conn.next_id;
+fn call_once(conn: &dyn Conn, caller: SpaceId, call_id: u64) -> bool {
     let req = RpcMsg::Request(Request {
         call_id,
-        caller: conn.caller,
-        target: WireRep::new(conn.caller, ObjIx::FIRST_USER),
+        caller,
+        target: WireRep::new(caller, ObjIx::FIRST_USER),
         method: 7,
         args: Bytes::copy_from_slice(b"ping-c5!"),
         trace_id: 0,
         span_id: 0,
     });
-    if conn.send_frame(&req.encode()).is_err() {
+    if conn.send(req.encode()).is_err() {
         return false;
     }
     loop {
-        let frame = match conn.recv_frame() {
-            Ok(f) => f,
-            Err(_) => return false,
+        let Ok(frame) = conn.recv_timeout(CALL_TIMEOUT) else {
+            return false;
         };
         match RpcMsg::decode(&frame) {
             Ok(RpcMsg::Reply(r)) if r.call_id == call_id => {
                 if r.needs_ack {
-                    let _ = conn.send_frame(&RpcMsg::ReplyAck(call_id).encode());
+                    let _ = conn.send(RpcMsg::ReplyAck(call_id).encode());
                 }
                 return r.outcome.is_ok();
             }

@@ -98,9 +98,9 @@ pub trait Conn: Send + Sync {
     fn peer(&self) -> Option<Endpoint>;
 
     /// The connection's non-blocking side, through which a
-    /// [`reactor::Reactor`] serves it. Every transport in this crate has
-    /// one; `None` (the default) is for a connection that only ever has a
-    /// blocking caller, such as a client-side wrapper in a test.
+    /// [`reactor::Reactor`] serves it. `None` (the default) is for a
+    /// connection that only ever has a blocking caller: a dialled TCP
+    /// connection, or a client-side wrapper in a test.
     fn as_pollable(&self) -> Option<&dyn reactor::Pollable> {
         None
     }

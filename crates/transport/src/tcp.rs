@@ -4,16 +4,18 @@
 //! latency experiments. `TCP_NODELAY` is set, as the original runtime did,
 //! because RPC traffic is latency-bound, not throughput-bound.
 //!
-//! A `TcpConn` runs in one of two modes, one per end of a connection:
+//! A connection is one socket, one file descriptor, and one of two types,
+//! by who reads it:
 //!
-//! - **Blocking** (the default): `send` writes synchronously, `recv`
-//!   blocks on the socket. This is the client end: a caller owns it.
-//! - **Reactor-managed**: after [`crate::reactor::Pollable::enter_reactor_mode`]
-//!   the socket is non-blocking; `send` enqueues the frame on an outbound
-//!   queue and wakes the reactor, which flushes many queued frames in one
-//!   vectored write (`drive_write`) and pushes inbound frames to the
-//!   registered driver (`drive_read`). `recv` is unavailable in this mode.
-//!   This is the server end: every accepted connection is served this way.
+//! - **`TcpConn`**, read by its caller: every dialled connection, and every
+//!   one taken with the blocking [`Listener::accept`]. The socket blocks;
+//!   `recv` waits on it, and `send` writes a whole frame synchronously.
+//! - **`ServedConn`**, read by the reactor: every connection that
+//!   `accept_nonblocking` takes. The socket is non-blocking from birth;
+//!   `send` enqueues the frame on an outbound queue and wakes the reactor,
+//!   which flushes many queued frames in one vectored write (`drive_write`)
+//!   and pushes inbound frames to the registered driver (`drive_read`).
+//!   Nothing else can `recv` from it.
 //!
 //! Either way a frame's bytes are copied by neither direction: a frame
 //! given as [`Segments`] is written by gathering its pieces where they lie,
@@ -23,6 +25,8 @@ use std::collections::VecDeque;
 use std::io::{self, IoSlice, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
+#[cfg(unix)]
+use std::sync::OnceLock;
 use std::time::Duration;
 
 use bytes::Bytes;
@@ -241,30 +245,62 @@ fn read_visit(
     Ok(ReadDrive::Open)
 }
 
-/// The receiving side of a connection.
-struct ReadHalf {
+/// A connection its caller reads: every dialled one, and every one taken
+/// with the blocking [`Listener::accept`].
+struct TcpConn {
     stream: TcpStream,
+    /// Held across a whole frame's writes, so that concurrent senders'
+    /// frames never interleave on the wire.
+    sending: Mutex<()>,
+    reading: Mutex<ReadState>,
+    closed: AtomicBool,
+    peer: Option<Endpoint>,
+}
+
+#[derive(Default)]
+struct ReadState {
     decoder: FrameDecoder,
     /// The socket's current `SO_RCVTIMEO` (a fresh socket has none), so a
     /// receive with the same timeout as the last one costs no `setsockopt`.
     timeout: Option<Duration>,
 }
 
-impl ReadHalf {
+impl TcpConn {
+    fn new(stream: TcpStream, peer: Option<Endpoint>) -> Result<TcpConn> {
+        stream.set_nodelay(true)?;
+        Ok(TcpConn {
+            stream,
+            sending: Mutex::default(),
+            reading: Mutex::default(),
+            closed: AtomicBool::new(false),
+            peer,
+        })
+    }
+
     /// Takes the next frame out of the decoder, receiving into it for as
-    /// long as it needs more bytes. A receive that finds nothing in time —
-    /// or nothing at all, with `dontwait` — fails with
+    /// long as it needs more bytes. A receive that finds nothing within
+    /// `timeout` — or nothing at all, when `timeout` is zero — fails with
     /// [`TransportError::Timeout`].
-    fn next_frame(&mut self, dontwait: bool) -> Result<Bytes> {
-        let ReadHalf {
-            stream, decoder, ..
-        } = self;
+    fn next_frame(&self, timeout: Option<Duration>) -> Result<Bytes> {
+        if self.closed.load(Ordering::Acquire) {
+            return Err(TransportError::Closed);
+        }
+        let dontwait = timeout == Some(Duration::ZERO);
+        let mut state = self.reading.lock();
+        let ReadState {
+            decoder,
+            timeout: armed,
+        } = &mut *state;
+        if !dontwait && *armed != timeout {
+            self.stream.set_read_timeout(timeout)?;
+            *armed = timeout;
+        }
         loop {
             if let Some(frame) = decoder.next_frame()? {
                 return Ok(frame);
             }
             match decoder.read_with(usize::MAX, |buf, max| {
-                recv_append(stream, buf, max, dontwait)
+                recv_append(&self.stream, buf, max, dontwait)
             }) {
                 Ok(0) => return Err(TransportError::Closed),
                 Ok(_) => {}
@@ -272,88 +308,6 @@ impl ReadHalf {
                 Err(e) => return Err(e.into()),
             }
         }
-    }
-}
-
-struct TcpConn {
-    writer: Mutex<TcpStream>,
-    reader: Mutex<ReadHalf>,
-    closed: AtomicBool,
-    peer: Option<Endpoint>,
-    /// True once `enter_reactor_mode` ran; flips `send`/`recv` behaviour.
-    reactor_mode: AtomicBool,
-    outbound: Mutex<Outbound>,
-    waker: Mutex<Option<ReactorWaker>>,
-}
-
-impl TcpConn {
-    fn new(stream: TcpStream, peer: Option<Endpoint>) -> Result<TcpConn> {
-        stream.set_nodelay(true)?;
-        let reader = stream.try_clone()?;
-        Ok(TcpConn {
-            writer: Mutex::new(stream),
-            reader: Mutex::new(ReadHalf {
-                stream: reader,
-                decoder: FrameDecoder::default(),
-                timeout: None,
-            }),
-            closed: AtomicBool::new(false),
-            peer,
-            reactor_mode: AtomicBool::new(false),
-            outbound: Mutex::new(Outbound::default()),
-            waker: Mutex::new(None),
-        })
-    }
-
-    /// Fails unless this connection is open and its receiving side belongs
-    /// to the caller rather than to a reactor.
-    fn check_receivable(&self) -> Result<()> {
-        if self.closed.load(Ordering::Acquire) {
-            return Err(TransportError::Closed);
-        }
-        if self.reactor_mode.load(Ordering::Acquire) {
-            // Frames are pushed to the reactor driver; there is nothing a
-            // blocking receiver could wait on.
-            return Err(TransportError::Io(
-                "connection is reactor-managed; recv is unavailable".into(),
-            ));
-        }
-        Ok(())
-    }
-
-    fn recv_inner(&self, timeout: Option<Duration>) -> Result<Bytes> {
-        self.check_receivable()?;
-        let mut half = self.reader.lock();
-        if half.timeout != timeout {
-            half.stream.set_read_timeout(timeout)?;
-            half.timeout = timeout;
-        }
-        half.next_frame(false)
-    }
-
-    /// Reactor-mode `send`: queue the frame and, on an empty→non-empty
-    /// transition, wake the reactor to schedule a coalesced flush. (While
-    /// the queue is non-empty the reactor already has a flush pending or
-    /// writable interest armed, so no further wakes are needed.)
-    fn send_queued(&self, frame: QueuedFrame) -> Result<()> {
-        let wake = {
-            let mut ob = self.outbound.lock();
-            if ob.bytes + frame.len() > OUTBOUND_LIMIT {
-                drop(ob);
-                self.close();
-                return Err(TransportError::Closed);
-            }
-            let was_empty = ob.queue.is_empty();
-            ob.bytes += frame.len();
-            ob.queue.push_back(frame);
-            was_empty
-        };
-        if wake {
-            if let Some(w) = self.waker.lock().as_ref() {
-                w.wake_write();
-            }
-        }
-        Ok(())
     }
 }
 
@@ -367,64 +321,127 @@ impl Conn for TcpConn {
             return Err(TransportError::Closed);
         }
         let frame = QueuedFrame::new(frame)?;
-        if self.reactor_mode.load(Ordering::Acquire) {
-            return self.send_queued(frame);
-        }
-        write_frame(&mut *self.writer.lock(), &frame)
+        let _whole = self.sending.lock();
+        write_frame(&mut &self.stream, &frame)
     }
 
     fn recv(&self) -> Result<Bytes> {
-        self.recv_inner(None)
+        self.next_frame(None)
     }
 
     fn recv_timeout(&self, timeout: Duration) -> Result<Bytes> {
-        self.recv_inner(Some(timeout))
+        self.next_frame(Some(timeout))
     }
 
-    fn try_recv(&self) -> Result<Option<Bytes>> {
-        self.check_receivable()?;
-        match self.reader.lock().next_frame(true) {
-            Ok(frame) => Ok(Some(frame)),
-            Err(TransportError::Timeout) => Ok(None),
-            Err(e) => Err(e),
-        }
-    }
-
+    /// Takes no lock: a sender blocked on a peer that stopped reading
+    /// holds `sending`, and the shutdown is what fails its write.
     fn close(&self) {
         self.closed.store(true, Ordering::Release);
-        let w = self.writer.lock();
-        let _ = w.shutdown(Shutdown::Both);
+        let _ = self.stream.shutdown(Shutdown::Both);
     }
 
     fn peer(&self) -> Option<Endpoint> {
         self.peer.clone()
     }
+}
 
-    fn as_pollable(&self) -> Option<&dyn Pollable> {
-        #[cfg(unix)]
-        {
-            Some(self)
-        }
-        #[cfg(not(unix))]
-        {
-            None
-        }
+/// A connection the reactor reads: every one `accept_nonblocking` takes.
+/// Its socket never blocks; `send` queues, and the reactor writes.
+#[cfg(unix)]
+struct ServedConn {
+    stream: TcpStream,
+    decoder: Mutex<FrameDecoder>,
+    outbound: Mutex<Outbound>,
+    /// Set when the reactor registers the connection, before anything is
+    /// sent on it.
+    waker: OnceLock<ReactorWaker>,
+    closed: AtomicBool,
+}
+
+#[cfg(unix)]
+impl ServedConn {
+    fn new(stream: TcpStream) -> io::Result<ServedConn> {
+        stream.set_nodelay(true)?;
+        stream.set_nonblocking(true)?;
+        Ok(ServedConn {
+            stream,
+            decoder: Mutex::default(),
+            outbound: Mutex::default(),
+            waker: OnceLock::new(),
+            closed: AtomicBool::new(false),
+        })
     }
 }
 
 #[cfg(unix)]
-impl Pollable for TcpConn {
+impl Conn for ServedConn {
+    fn send(&self, frame: Bytes) -> Result<()> {
+        self.send_segments(Segments::from(frame))
+    }
+
+    /// Queues the frame and, on an empty→non-empty transition, wakes the
+    /// reactor to schedule a coalesced flush. (While the queue is non-empty
+    /// the reactor already has a flush pending or writable interest armed,
+    /// so no further wakes are needed.)
+    fn send_segments(&self, frame: Segments) -> Result<()> {
+        if self.closed.load(Ordering::Acquire) {
+            return Err(TransportError::Closed);
+        }
+        let frame = QueuedFrame::new(frame)?;
+        let wake = {
+            let mut ob = self.outbound.lock();
+            if ob.bytes + frame.len() > OUTBOUND_LIMIT {
+                drop(ob);
+                self.close();
+                return Err(TransportError::Closed);
+            }
+            let was_empty = ob.queue.is_empty();
+            ob.bytes += frame.len();
+            ob.queue.push_back(frame);
+            was_empty
+        };
+        if let (true, Some(w)) = (wake, self.waker.get()) {
+            w.wake_write();
+        }
+        Ok(())
+    }
+
+    fn recv(&self) -> Result<Bytes> {
+        // Every frame goes to the reactor's driver; a caller has nothing
+        // to wait on.
+        Err(TransportError::Io(
+            "a served connection is read by its reactor".into(),
+        ))
+    }
+
+    fn recv_timeout(&self, _timeout: Duration) -> Result<Bytes> {
+        self.recv()
+    }
+
+    fn close(&self) {
+        self.closed.store(true, Ordering::Release);
+        let _ = self.stream.shutdown(Shutdown::Both);
+    }
+
+    fn peer(&self) -> Option<Endpoint> {
+        None
+    }
+
+    fn as_pollable(&self) -> Option<&dyn Pollable> {
+        Some(self)
+    }
+}
+
+#[cfg(unix)]
+impl Pollable for ServedConn {
     fn poll_fd(&self) -> Option<i32> {
         use std::os::unix::io::AsRawFd;
-        Some(self.writer.lock().as_raw_fd())
+        Some(self.stream.as_raw_fd())
     }
 
     fn enter_reactor_mode(&self, waker: ReactorWaker) -> Result<()> {
-        // reader and writer are clones of the same socket, so one call
-        // flips both directions to non-blocking.
-        self.writer.lock().set_nonblocking(true)?;
-        *self.waker.lock() = Some(waker);
-        self.reactor_mode.store(true, Ordering::Release);
+        // Non-blocking since it was accepted: only the waker is new.
+        let _ = self.waker.set(waker);
         Ok(())
     }
 
@@ -432,20 +449,15 @@ impl Pollable for TcpConn {
         if self.closed.load(Ordering::Acquire) {
             return Ok(ReadDrive::Closed);
         }
-        let mut half = self.reader.lock();
-        let ReadHalf {
-            stream, decoder, ..
-        } = &mut *half;
         read_visit(
-            decoder,
-            |buf, max| recv_append(stream, buf, max, false),
+            &mut self.decoder.lock(),
+            |buf, max| recv_append(&self.stream, buf, max, false),
             sink,
         )
     }
 
     fn drive_write(&self) -> Result<FlushReport> {
-        let mut ob = self.outbound.lock();
-        ob.flush(&mut *self.writer.lock())
+        self.outbound.lock().flush(&mut &self.stream)
     }
 }
 
@@ -520,10 +532,9 @@ impl PollableListener for TcpAcceptor {
                 if self.closed.load(Ordering::Acquire) {
                     return Err(TransportError::Closed);
                 }
-                match TcpConn::new(stream, None) {
+                match ServedConn::new(stream) {
                     Ok(conn) => Ok(AcceptPoll::Conn(Box::new(conn))),
-                    // Setup failed for this one socket (usually fd
-                    // exhaustion inside `try_clone`); drop it, keep the
+                    // Setup failed for this one socket; drop it, keep the
                     // listener alive, back off until the next tick.
                     Err(_) => Ok(AcceptPoll::Retry),
                 }
@@ -728,7 +739,7 @@ mod tests {
         assert_eq!(frames, MAX_READ_PER_VISIT / unit.len());
     }
 
-    /// Over a real socket in reactor mode, a sender that outruns the
+    /// Over a real socket the reactor serves, a sender that outruns the
     /// reader is served in visits of bounded size, and nothing is lost.
     #[test]
     fn a_firehose_peer_is_read_in_bounded_visits() {
@@ -736,8 +747,7 @@ mod tests {
         let c = Tcp
             .connect(&Endpoint::tcp(l.local_addr().unwrap().to_string()))
             .unwrap();
-        let s = TcpConn::new(l.accept().unwrap().0, None).unwrap();
-        s.writer.lock().set_nonblocking(true).unwrap();
+        let s = ServedConn::new(l.accept().unwrap().0).unwrap();
         const FRAMES: usize = 2000;
         let h = std::thread::spawn(move || {
             for i in 0..FRAMES as u32 {
@@ -760,6 +770,27 @@ mod tests {
             std::thread::sleep(Duration::from_millis(1));
         }
         drop(h.join().unwrap());
+    }
+
+    /// A sender blocked on a peer that stopped reading holds nothing that
+    /// `close` waits for: the close returns, and the send fails.
+    #[test]
+    fn close_unblocks_a_sender_stuck_on_a_full_socket() {
+        let (c, _s) = tcp_pair();
+        let c: std::sync::Arc<dyn Conn> = c.into();
+        let sender = std::sync::Arc::clone(&c);
+        let sent = std::thread::spawn(move || sender.send(Bytes::from(vec![0u8; 32 << 20])));
+        // Long enough for the send to fill both socket buffers and block.
+        std::thread::sleep(Duration::from_millis(200));
+        let (closed_tx, closed) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            c.close();
+            let _ = closed_tx.send(());
+        });
+        closed
+            .recv_timeout(Duration::from_secs(3))
+            .expect("close() waited for the blocked send");
+        assert!(sent.join().unwrap().is_err());
     }
 
     #[test]
