@@ -5,9 +5,9 @@
 //! paper's "same machine" configuration — pure runtime overhead, no wire)
 //! and a zero-latency SimNet (the deterministic harness all other
 //! experiments use). Every caller shares the same client space, so this is
-//! exactly the contended path the zero-copy/sharding work targets: one
-//! connection (its callers taking turns as reader), one object table, one
-//! metrics registry.
+//! exactly the contended path the zero-copy work targets: one
+//! connection (its callers taking turns as reader), one object table
+//! (one lock per half), one metrics registry.
 //!
 //! Writes `BENCH_rpc_throughput.json` so the perf trajectory can be diffed
 //! across PRs. `--quick` shrinks the call counts for CI smoke runs.

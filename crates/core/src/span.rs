@@ -9,11 +9,11 @@
 //! This module also owns the two pieces of trace plumbing that are not
 //! tied to a ring:
 //!
-//! - **Id allocation** ([`IdAlloc`]): trace and span ids are drawn from a
+//! - **Id allocation** (`IdAlloc`): trace and span ids are drawn from a
 //!   per-space counter salted with the space id, so ids allocated by
 //!   different spaces never collide and runs under a deterministic
 //!   scenario yield deterministic ids.
-//! - **The ambient scope** ([`current_scope`] / [`enter_scope`]): while a
+//! - **The ambient scope** (`current_scope` / `enter_scope`): while a
 //!   server worker dispatches a request, the request's trace and span ids
 //!   are installed in a thread-local; any remote call the dispatched
 //!   method makes on that thread picks them up, which is how a fan-out

@@ -93,7 +93,7 @@ macro_rules! network_object {
         }
 
         /// Owner-side wrapper exporting an implementation of the interface
-        /// as a network object (generated by [`network_object!`]).
+        /// as a network object (generated by `network_object!`).
         $vis struct $export<T: $trait_name>(pub ::std::sync::Arc<T>);
 
         impl<T: $trait_name> $crate::NetObject for $export<T> {
@@ -136,7 +136,7 @@ macro_rules! network_object {
             }
         }
 
-        /// Client stub for the interface (generated by [`network_object!`]).
+        /// Client stub for the interface (generated by `network_object!`).
         #[derive(Clone, Debug)]
         $vis struct $client($crate::Handle);
 

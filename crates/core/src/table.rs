@@ -9,48 +9,21 @@
 //! cycle — the `⊥ / nil / OK / ccit / ccitnil` states of the collector's
 //! formal specification.
 //!
-//! # Sharding and lock order
+//! # Locking
 //!
-//! Both halves of the table are sharded so that hot-path mutations (a
-//! dirty-set update, a transient pin, an import-slot transition) contend
-//! only with operations on the *same* object, not with every marshal in
-//! the space:
+//! Each half of the table sits behind one mutex. The export lock covers
+//! index allocation, the object-pointer → index reverse map, every
+//! concrete entry, the per-client footprints and the pin counter, so each
+//! export-side operation — including the check that an entry is removable
+//! and its removal — is one critical section, and whole-table scans are
+//! atomic snapshots. The import lock covers every import slot and pairs
+//! with one condvar that blocked unmarshal threads wait on.
 //!
-//! * **Exports** split into an *identity map* (`ident`: index allocation
-//!   plus the object-pointer → index reverse map) and [`EXPORT_SHARDS`]
-//!   shards of `index → ConcreteEntry`, selected by index. Pin ids come
-//!   from an atomic counter and take no lock at all.
-//! * **Imports** are [`IMPORT_SHARDS`] shards selected by `WireRep` hash,
-//!   each pairing its map with its own condvar so blocked unmarshal
-//!   threads are only woken by transitions in their shard.
-//!
-//! Lock order discipline (violations deadlock):
-//!
-//! 1. `ident` before any export shard; never an export shard before
-//!    `ident`. Paths that discover an entry became removable while holding
-//!    only its shard must *release* the shard, take `ident` → shard, and
-//!    re-check removability before collecting ([`ExportTable::collect_if_removable`]).
-//! 2. At most one export shard at a time. Whole-table scans
-//!    (`purge_client`, `expire_leases`, gauges) visit shards sequentially;
-//!    their results are per-shard-consistent snapshots, not a global
-//!    atomic view — sufficient for the ping demon and metrics.
-//! 3. Import shards are independent; no operation holds two at once, and
-//!    no operation holds an import shard together with `ident` or an
-//!    export shard.
-//! 4. The per-client footprint map (`ExportTable::counts`) is a *leaf*
-//!    lock: it may be taken while holding `ident` and/or one export
-//!    shard, and nothing else is ever acquired while holding it. Keeping
-//!    the quota check-and-increment under this single lock makes budget
-//!    enforcement exact even though entries live in different shards.
-//!
-//! Entry removal always holds `ident` *and* the entry's shard, so any
-//! reader holding `ident` may rely on `by_ptr` hits resolving to live
-//! shard entries.
+//! The one lock-order rule: the import lock and the export lock are never
+//! held together. (The import lock is also released before any dirty or
+//! clean call is sent; see `dgc`.)
 
-use std::collections::hash_map::DefaultHasher;
 use std::collections::{HashMap, HashSet};
-use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
 use std::time::Instant;
 
@@ -61,11 +34,6 @@ use parking_lot::{Condvar, Mutex};
 
 use crate::handle::SurrogateCore;
 use crate::obj::NetObject;
-
-/// Number of export shards (index-selected).
-pub(crate) const EXPORT_SHARDS: usize = 16;
-/// Number of import shards (`WireRep`-hash-selected).
-pub(crate) const IMPORT_SHARDS: usize = 16;
 
 /// What the owner knows about one client's claim on an object.
 #[derive(Debug, Clone)]
@@ -153,15 +121,6 @@ impl ObjectTable {
     }
 }
 
-/// Index allocation and object-identity half of the export table.
-///
-/// The reverse map exists so re-marshaling the same object reuses its
-/// wireRep ("there is at most one entry per concrete object").
-struct ExportIdent {
-    next_ix: u64,
-    by_ptr: HashMap<usize, u64>,
-}
-
 /// What one client currently costs this owner in table bookkeeping.
 ///
 /// `dirty` counts the objects the client holds dirty registrations on
@@ -184,51 +143,108 @@ impl ClientFootprint {
     }
 }
 
-/// Owner-side table state, sharded by object index.
-pub(crate) struct ExportTable {
-    ident: Mutex<ExportIdent>,
-    /// Pin ids are only ever compared for equality; an atomic counter
-    /// keeps transient pinning off every lock.
-    next_pin: AtomicU64,
-    shards: Vec<Mutex<HashMap<u64, ConcreteEntry>>>,
+/// Owner-side table state, behind the export lock.
+struct Exports {
+    next_ix: u64,
+    /// Object pointer → index, so re-marshaling the same object reuses its
+    /// wireRep ("there is at most one entry per concrete object").
+    by_ptr: HashMap<usize, u64>,
+    entries: HashMap<u64, ConcreteEntry>,
     /// Per-client footprint, maintained alongside every dirty-set and
-    /// floor mutation (leaf lock; see the module lock-order notes).
-    /// Records exist only while the footprint is nonzero, so refused or
-    /// stale calls from never-seen clients cannot grow this map.
-    counts: Mutex<HashMap<SpaceId, ClientFootprint>>,
+    /// floor mutation. Records exist only while the footprint is nonzero,
+    /// so refused or stale calls from never-seen clients cannot grow this
+    /// map.
+    counts: HashMap<SpaceId, ClientFootprint>,
+    /// Pin ids are only ever compared for equality.
+    next_pin: u64,
 }
 
 fn ptr_key(obj: &Arc<dyn NetObject>) -> usize {
     Arc::as_ptr(obj) as *const () as usize
 }
 
-impl ExportTable {
-    pub fn new() -> ExportTable {
-        ExportTable {
-            ident: Mutex::new(ExportIdent {
-                next_ix: ObjIx::FIRST_USER.0,
-                by_ptr: HashMap::new(),
-            }),
-            next_pin: AtomicU64::new(1),
-            shards: (0..EXPORT_SHARDS)
-                .map(|_| Mutex::new(HashMap::new()))
-                .collect(),
-            counts: Mutex::new(HashMap::new()),
+impl Exports {
+    /// Finds or creates the entry for `obj`, returning its index and
+    /// whether this call created it.
+    fn entry_for(&mut self, obj: &Arc<dyn NetObject>) -> (u64, bool) {
+        let key = ptr_key(obj);
+        if let Some(&ix) = self.by_ptr.get(&key) {
+            return (ix, false);
+        }
+        let ix = self.next_ix;
+        self.next_ix += 1;
+        self.by_ptr.insert(key, ix);
+        self.insert(ix, Arc::clone(obj), false);
+        (ix, true)
+    }
+
+    fn insert(&mut self, ix: u64, obj: Arc<dyn NetObject>, pinned: bool) {
+        let types = obj.type_list();
+        self.entries.insert(
+            ix,
+            ConcreteEntry {
+                obj,
+                types,
+                pinned,
+                dirty: HashMap::new(),
+                seqno_floor: HashMap::new(),
+                transient: HashSet::new(),
+            },
+        );
+    }
+
+    fn entry(&mut self, ix: u64) -> &mut ConcreteEntry {
+        self.entries
+            .get_mut(&ix)
+            .expect("by_ptr and entries agree under the export lock")
+    }
+
+    /// Takes `dirty` registrations and `floors` floor entries off
+    /// `client`'s footprint, dropping the record once it is empty.
+    fn release(&mut self, client: SpaceId, dirty: usize, floors: usize) {
+        if let Some(fp) = self.counts.get_mut(&client) {
+            fp.dirty = fp.dirty.saturating_sub(dirty);
+            fp.floors = fp.floors.saturating_sub(floors);
+            if fp.is_empty() {
+                self.counts.remove(&client);
+            }
         }
     }
 
-    fn shard(&self, ix: u64) -> &Mutex<HashMap<u64, ConcreteEntry>> {
-        &self.shards[(ix as usize) % EXPORT_SHARDS]
+    /// Removes the entry at `ix` if nothing protects it; true if removed.
+    fn collect(&mut self, ix: u64) -> bool {
+        if !self.entries.get(&ix).is_some_and(ConcreteEntry::removable) {
+            return false;
+        }
+        let entry = self.entries.remove(&ix).expect("checked present");
+        // Removable ⇒ the dirty set is empty; only the entry's floor
+        // entries still weigh on client footprints. Release them.
+        for &client in entry.seqno_floor.keys() {
+            self.release(client, 0, 1);
+        }
+        let key = ptr_key(&entry.obj);
+        if self.by_ptr.get(&key) == Some(&ix) {
+            self.by_ptr.remove(&key);
+        }
+        true
     }
+}
 
-    fn fresh_entry(obj: &Arc<dyn NetObject>, types: &TypeList, pinned: bool) -> ConcreteEntry {
-        ConcreteEntry {
-            obj: Arc::clone(obj),
-            types: types.clone(),
-            pinned,
-            dirty: HashMap::new(),
-            seqno_floor: HashMap::new(),
-            transient: HashSet::new(),
+/// Owner-side table state: one lock over every export entry.
+pub(crate) struct ExportTable {
+    inner: Mutex<Exports>,
+}
+
+impl ExportTable {
+    pub fn new() -> ExportTable {
+        ExportTable {
+            inner: Mutex::new(Exports {
+                next_ix: ObjIx::FIRST_USER.0,
+                by_ptr: HashMap::new(),
+                entries: HashMap::new(),
+                counts: HashMap::new(),
+                next_pin: 1,
+            }),
         }
     }
 
@@ -236,24 +252,11 @@ impl ExportTable {
     /// whether the entry was created by this call (a fresh export, which
     /// the trace layer records as `ExportCreated`).
     pub fn export(&self, obj: &Arc<dyn NetObject>, pinned: bool) -> (ObjIx, TypeList, bool) {
-        let mut ident = self.ident.lock();
-        let key = ptr_key(obj);
-        if let Some(&ix) = ident.by_ptr.get(&key) {
-            let mut shard = self.shard(ix).lock();
-            let entry = shard
-                .get_mut(&ix)
-                .expect("by_ptr/shard consistent under ident");
-            entry.pinned |= pinned;
-            return (ObjIx(ix), entry.types.clone(), false);
-        }
-        let ix = ident.next_ix;
-        ident.next_ix += 1;
-        ident.by_ptr.insert(key, ix);
-        let types = obj.type_list();
-        self.shard(ix)
-            .lock()
-            .insert(ix, Self::fresh_entry(obj, &types, pinned));
-        (ObjIx(ix), types, true)
+        let mut ex = self.inner.lock();
+        let (ix, created) = ex.entry_for(obj);
+        let entry = ex.entry(ix);
+        entry.pinned |= pinned;
+        (ObjIx(ix), entry.types.clone(), created)
     }
 
     /// Marshal-path export: finds or creates the entry and adds a
@@ -261,40 +264,25 @@ impl ExportTable {
     /// collected between the two steps. Returns (index, types, pin,
     /// created).
     pub fn export_transient(&self, obj: &Arc<dyn NetObject>) -> (ObjIx, TypeList, u64, bool) {
-        let pin = self.next_pin.fetch_add(1, Ordering::Relaxed);
-        let mut ident = self.ident.lock();
-        let key = ptr_key(obj);
-        if let Some(&ix) = ident.by_ptr.get(&key) {
-            let mut shard = self.shard(ix).lock();
-            let entry = shard
-                .get_mut(&ix)
-                .expect("by_ptr/shard consistent under ident");
-            entry.transient.insert(pin);
-            return (ObjIx(ix), entry.types.clone(), pin, false);
-        }
-        let ix = ident.next_ix;
-        ident.next_ix += 1;
-        ident.by_ptr.insert(key, ix);
-        let types = obj.type_list();
-        let mut entry = Self::fresh_entry(obj, &types, false);
+        let mut ex = self.inner.lock();
+        let pin = ex.next_pin;
+        ex.next_pin += 1;
+        let (ix, created) = ex.entry_for(obj);
+        let entry = ex.entry(ix);
         entry.transient.insert(pin);
-        self.shard(ix).lock().insert(ix, entry);
-        (ObjIx(ix), types, pin, true)
+        (ObjIx(ix), entry.types.clone(), pin, created)
     }
 
     /// Installs an object at a reserved index (agent bootstrap).
     pub fn export_at(&self, ix: ObjIx, obj: Arc<dyn NetObject>) {
-        let types = obj.type_list();
-        let mut ident = self.ident.lock();
-        ident.by_ptr.insert(ptr_key(&obj), ix.0);
-        self.shard(ix.0)
-            .lock()
-            .insert(ix.0, Self::fresh_entry(&obj, &types, true));
+        let mut ex = self.inner.lock();
+        ex.by_ptr.insert(ptr_key(&obj), ix.0);
+        ex.insert(ix.0, obj, true);
     }
 
     /// Looks up the index for an already-exported object.
     pub fn lookup(&self, obj: &Arc<dyn NetObject>) -> Option<ObjIx> {
-        self.ident
+        self.inner
             .lock()
             .by_ptr
             .get(&ptr_key(obj))
@@ -303,8 +291,9 @@ impl ExportTable {
 
     /// Returns the concrete object at `ix`, if present.
     pub fn get(&self, ix: ObjIx) -> Option<(Arc<dyn NetObject>, TypeList)> {
-        self.shard(ix.0)
+        self.inner
             .lock()
+            .entries
             .get(&ix.0)
             .map(|e| (Arc::clone(&e.obj), e.types.clone()))
     }
@@ -316,26 +305,21 @@ impl ExportTable {
     /// for tests exercising pin/collect interleavings directly.
     #[cfg(test)]
     pub fn add_transient(&self, ix: ObjIx) -> Option<u64> {
-        let mut shard = self.shard(ix.0).lock();
-        let entry = shard.get_mut(&ix.0)?;
-        let pin = self.next_pin.fetch_add(1, Ordering::Relaxed);
-        entry.transient.insert(pin);
+        let mut ex = self.inner.lock();
+        let pin = ex.next_pin;
+        ex.entries.get_mut(&ix.0)?.transient.insert(pin);
+        ex.next_pin += 1;
         Some(pin)
     }
 
     /// Releases a transient pin; returns true if the entry was collected.
     pub fn remove_transient(&self, ix: ObjIx, pin: u64) -> bool {
-        {
-            let mut shard = self.shard(ix.0).lock();
-            let Some(entry) = shard.get_mut(&ix.0) else {
-                return false;
-            };
-            entry.transient.remove(&pin);
-            if !entry.removable() {
-                return false;
-            }
-        }
-        self.collect_if_removable(ix)
+        let mut ex = self.inner.lock();
+        let Some(entry) = ex.entries.get_mut(&ix.0) else {
+            return false;
+        };
+        entry.transient.remove(&pin);
+        ex.collect(ix.0)
     }
 
     /// Applies a dirty call from `client` with `seqno`, charging the
@@ -355,8 +339,9 @@ impl ExportTable {
         now: Instant,
         budget: &ResourceBudget,
     ) -> DirtyOutcome {
-        let mut shard = self.shard(ix.0).lock();
-        let Some(entry) = shard.get_mut(&ix.0) else {
+        let mut guard = self.inner.lock();
+        let ex = &mut *guard;
+        let Some(entry) = ex.entries.get_mut(&ix.0) else {
             return DirtyOutcome::NoSuchObject;
         };
         if seqno <= entry.seqno_floor.get(&client).copied().unwrap_or(0) {
@@ -365,10 +350,7 @@ impl ExportTable {
         let new_dirty = !entry.dirty.contains_key(&client);
         let new_floor = !entry.seqno_floor.contains_key(&client);
         if new_dirty {
-            // Check-and-increment under the counts leaf lock, so dirties
-            // racing on different shards cannot both slip under a limit.
-            let mut counts = self.counts.lock();
-            let held = counts.get(&client).copied().unwrap_or_default();
+            let held = ex.counts.get(&client).copied().unwrap_or_default();
             if let Some(max) = budget.max_export_slots {
                 if held.dirty >= max {
                     return DirtyOutcome::QuotaExceeded("export slots");
@@ -379,7 +361,7 @@ impl ExportTable {
                     return DirtyOutcome::QuotaExceeded("dirty entries");
                 }
             }
-            let fp = counts.entry(client).or_default();
+            let fp = ex.counts.entry(client).or_default();
             fp.dirty += 1;
             if new_floor {
                 fp.floors += 1;
@@ -416,45 +398,31 @@ impl ExportTable {
     /// seqno so that a *delayed* dirty it raced past cannot re-add the
     /// client afterwards — this is what makes strong cleans final.
     pub fn apply_clean(&self, ix: ObjIx, client: SpaceId, seqno: u64) -> CleanOutcome {
-        {
-            let mut shard = self.shard(ix.0).lock();
-            let Some(entry) = shard.get_mut(&ix.0) else {
-                return CleanOutcome::NoOp;
-            };
-            if seqno <= entry.seqno_floor.get(&client).copied().unwrap_or(0) {
-                // Stale: reject without touching the floor map, so replayed
-                // cleans leave no per-client state behind.
-                return CleanOutcome::Stale;
-            }
-            let new_floor = entry.seqno_floor.insert(client, seqno).is_none();
-            let dropped = entry.dirty.remove(&client).is_some();
-            if new_floor || dropped {
-                // Cleans are release operations and are never refused for
-                // quota — but the floor entry a previously-unknown client's
-                // clean leaves behind (required so a delayed dirty cannot
-                // outrank it) still counts against its footprint.
-                let mut counts = self.counts.lock();
-                let fp = counts.entry(client).or_default();
-                if new_floor {
-                    fp.floors += 1;
-                }
-                if dropped {
-                    fp.dirty = fp.dirty.saturating_sub(1);
-                }
-                if fp.is_empty() {
-                    counts.remove(&client);
-                }
-            }
-            if !dropped {
-                // Unknown client: a no-op, but the floor update above still
-                // blocks any delayed dirty with a lower seqno.
-                return CleanOutcome::NoOp;
-            }
-            if !entry.removable() {
-                return CleanOutcome::Removed;
-            }
+        let mut ex = self.inner.lock();
+        let Some(entry) = ex.entries.get_mut(&ix.0) else {
+            return CleanOutcome::NoOp;
+        };
+        if seqno <= entry.seqno_floor.get(&client).copied().unwrap_or(0) {
+            // Stale: reject without touching the floor map, so replayed
+            // cleans leave no per-client state behind.
+            return CleanOutcome::Stale;
         }
-        if self.collect_if_removable(ix) {
+        let new_floor = entry.seqno_floor.insert(client, seqno).is_none();
+        let dropped = entry.dirty.remove(&client).is_some();
+        // Cleans are release operations and are never refused for quota —
+        // but the floor entry a previously-unknown client's clean leaves
+        // behind (required so a delayed dirty cannot outrank it) still
+        // counts against its footprint.
+        if new_floor {
+            ex.counts.entry(client).or_default().floors += 1;
+        }
+        if !dropped {
+            // Unknown client: a no-op, but the floor update above still
+            // blocks any delayed dirty with a lower seqno.
+            return CleanOutcome::NoOp;
+        }
+        ex.release(client, 1, 0);
+        if ex.collect(ix.0) {
             CleanOutcome::Collected
         } else {
             CleanOutcome::Removed
@@ -464,133 +432,77 @@ impl ExportTable {
     /// Removes `client` from every dirty set (presumed-dead client).
     /// Returns the number of entries collected as a result.
     pub fn purge_client(&self, client: SpaceId) -> u64 {
-        let mut affected: Vec<u64> = Vec::new();
-        for shard in &self.shards {
-            let mut shard = shard.lock();
-            affected.extend(
-                shard
-                    .iter_mut()
-                    .filter_map(|(&ix, e)| e.dirty.remove(&client).map(|_| ix)),
-            );
-        }
-        if !affected.is_empty() {
-            let mut counts = self.counts.lock();
-            if let Some(fp) = counts.get_mut(&client) {
-                fp.dirty = fp.dirty.saturating_sub(affected.len());
-                if fp.is_empty() {
-                    counts.remove(&client);
-                }
-            }
-        }
-        let mut collected = 0;
-        for ix in affected {
-            if self.collect_if_removable(ObjIx(ix)) {
-                collected += 1;
-            }
-        }
-        collected
+        let mut ex = self.inner.lock();
+        let affected: Vec<u64> = ex
+            .entries
+            .iter_mut()
+            .filter_map(|(&ix, e)| e.dirty.remove(&client).map(|_| ix))
+            .collect();
+        ex.release(client, affected.len(), 0);
+        affected.into_iter().filter(|&ix| ex.collect(ix)).count() as u64
     }
 
     /// Removes dirty entries older than `expiry`; returns (expired entries,
     /// collected objects). Lease mode only.
     pub fn expire_leases(&self, expiry: Instant) -> (u64, u64) {
-        let mut expired = 0;
+        let mut ex = self.inner.lock();
         let mut affected = Vec::new();
         let mut dropped: HashMap<SpaceId, usize> = HashMap::new();
-        for shard in &self.shards {
-            let mut shard = shard.lock();
-            for (&ix, e) in shard.iter_mut() {
-                let before = e.dirty.len();
-                e.dirty.retain(|&c, info| {
-                    let keep = info.renewed >= expiry;
-                    if !keep {
-                        *dropped.entry(c).or_insert(0) += 1;
-                    }
-                    keep
-                });
-                let removed = before - e.dirty.len();
-                if removed > 0 {
-                    expired += removed as u64;
-                    affected.push(ix);
+        for (&ix, e) in ex.entries.iter_mut() {
+            let before = e.dirty.len();
+            e.dirty.retain(|&c, info| {
+                let keep = info.renewed >= expiry;
+                if !keep {
+                    *dropped.entry(c).or_insert(0) += 1;
                 }
+                keep
+            });
+            if e.dirty.len() < before {
+                affected.push(ix);
             }
         }
-        if !dropped.is_empty() {
-            let mut counts = self.counts.lock();
-            for (c, n) in dropped {
-                if let Some(fp) = counts.get_mut(&c) {
-                    fp.dirty = fp.dirty.saturating_sub(n);
-                    if fp.is_empty() {
-                        counts.remove(&c);
-                    }
-                }
-            }
+        let expired = dropped.values().sum::<usize>() as u64;
+        for (c, n) in dropped {
+            ex.release(c, n, 0);
         }
-        let mut collected = 0;
-        for ix in affected {
-            if self.collect_if_removable(ObjIx(ix)) {
-                collected += 1;
-            }
-        }
-        (expired, collected)
+        let collected = affected.into_iter().filter(|&ix| ex.collect(ix)).count();
+        (expired, collected as u64)
     }
 
     /// Every (client, endpoint) pair present in some dirty set; the ping
     /// demon's worklist.
     pub fn dirty_clients(&self) -> Vec<(SpaceId, Option<Endpoint>)> {
+        let ex = self.inner.lock();
         let mut seen: HashMap<SpaceId, Option<Endpoint>> = HashMap::new();
-        for shard in &self.shards {
-            let shard = shard.lock();
-            for e in shard.values() {
-                for (&client, info) in &e.dirty {
-                    let slot = seen.entry(client).or_insert(None);
-                    if slot.is_none() {
-                        *slot = info.client_ep.clone();
-                    }
-                }
+        for (&client, info) in ex.entries.values().flat_map(|e| &e.dirty) {
+            let slot = seen.entry(client).or_insert(None);
+            if slot.is_none() {
+                *slot = info.client_ep.clone();
             }
         }
         seen.into_iter().collect()
     }
 
-    /// Marks an explicit export removable again; returns true if collected.
-    pub fn unpin(&self, ix: ObjIx) -> bool {
-        {
-            let mut shard = self.shard(ix.0).lock();
-            match shard.get_mut(&ix.0) {
-                Some(e) => {
-                    e.pinned = false;
-                    if !e.removable() {
-                        return false;
-                    }
-                }
-                None => return false,
-            }
-        }
-        self.collect_if_removable(ix)
-    }
-
     /// Atomically looks up `obj` and unpins its entry (explicit
     /// unexport). Returns the index and whether the entry was collected.
     pub fn unexport(&self, obj: &Arc<dyn NetObject>) -> Option<(ObjIx, bool)> {
-        let ix = self.lookup(obj)?;
-        Some((ix, self.unpin(ix)))
+        let mut ex = self.inner.lock();
+        let ix = *ex.by_ptr.get(&ptr_key(obj))?;
+        ex.entry(ix).pinned = false;
+        Some((ObjIx(ix), ex.collect(ix)))
     }
 
-    /// Total dirty-set entries across all shards (gauge; per-shard
-    /// consistent, not globally atomic).
+    /// Total dirty-set entries across the table (gauge).
     pub fn dirty_entry_count(&self) -> u64 {
-        self.shards
-            .iter()
-            .map(|s| s.lock().values().map(|e| e.dirty.len() as u64).sum::<u64>())
-            .sum()
+        let ex = self.inner.lock();
+        ex.entries.values().map(|e| e.dirty.len() as u64).sum()
     }
 
     /// Per-client footprint snapshot, sorted by client id (gauges and
-    /// introspection; consistent because the map has its own lock).
+    /// introspection).
     pub fn client_footprints(&self) -> Vec<(SpaceId, ClientFootprint)> {
-        let counts = self.counts.lock();
-        let mut v: Vec<_> = counts.iter().map(|(&c, &fp)| (c, fp)).collect();
+        let ex = self.inner.lock();
+        let mut v: Vec<_> = ex.counts.iter().map(|(&c, &fp)| (c, fp)).collect();
         v.sort_by_key(|(c, _)| *c);
         v
     }
@@ -599,21 +511,19 @@ impl ExportTable {
     /// compares it with the maintained counts (test observability).
     #[cfg(test)]
     pub fn counts_match_scan(&self) -> bool {
+        let ex = self.inner.lock();
         let mut scanned: HashMap<SpaceId, (usize, usize)> = HashMap::new();
-        for shard in &self.shards {
-            let shard = shard.lock();
-            for e in shard.values() {
-                for &c in e.dirty.keys() {
-                    scanned.entry(c).or_default().0 += 1;
-                }
-                for &c in e.seqno_floor.keys() {
-                    scanned.entry(c).or_default().1 += 1;
-                }
+        for e in ex.entries.values() {
+            for &c in e.dirty.keys() {
+                scanned.entry(c).or_default().0 += 1;
+            }
+            for &c in e.seqno_floor.keys() {
+                scanned.entry(c).or_default().1 += 1;
             }
         }
-        let counts = self.counts.lock();
-        counts.len() == scanned.len()
-            && counts
+        ex.counts.len() == scanned.len()
+            && ex
+                .counts
                 .iter()
                 .all(|(c, fp)| scanned.get(c) == Some(&(fp.dirty, fp.floors)))
     }
@@ -622,101 +532,38 @@ impl ExportTable {
     /// at reserved indices live forever and would otherwise make every
     /// listening space report a nonzero count).
     pub fn exported_count(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| {
-                s.lock()
-                    .keys()
-                    .filter(|&&ix| !ObjIx(ix).is_reserved())
-                    .count()
-            })
-            .sum()
+        let ex = self.inner.lock();
+        ex.entries
+            .keys()
+            .filter(|&&ix| !ObjIx(ix).is_reserved())
+            .count()
     }
 
     /// Number of live concrete entries (test observability).
     #[cfg(test)]
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().len()).sum()
-    }
-
-    /// Removes the entry if nothing protects it; true if removed.
-    ///
-    /// Callers have observed (under the entry's shard lock, since
-    /// released) that the entry *looked* removable. Removal must hold
-    /// `ident` → shard so the reverse map stays consistent, so this
-    /// re-acquires in the canonical order and re-checks: a concurrent
-    /// export or transient pin may have re-protected the entry in the
-    /// window, in which case nothing happens.
-    fn collect_if_removable(&self, ix: ObjIx) -> bool {
-        let mut ident = self.ident.lock();
-        let mut shard = self.shard(ix.0).lock();
-        let removable = shard.get(&ix.0).is_some_and(|e| e.removable());
-        if removable {
-            let entry = shard.remove(&ix.0).expect("checked present");
-            // Removable ⇒ the dirty set is empty; only the entry's floor
-            // entries still weigh on client footprints. Release them.
-            if !entry.seqno_floor.is_empty() {
-                let mut counts = self.counts.lock();
-                for client in entry.seqno_floor.keys() {
-                    let Some(fp) = counts.get_mut(client) else {
-                        continue;
-                    };
-                    fp.floors = fp.floors.saturating_sub(1);
-                    if fp.is_empty() {
-                        counts.remove(client);
-                    }
-                }
-            }
-            let key = ptr_key(&entry.obj);
-            if ident.by_ptr.get(&key) == Some(&ix.0) {
-                ident.by_ptr.remove(&key);
-            }
-        }
-        removable
+        self.inner.lock().entries.len()
     }
 }
 
-/// One import shard: slots plus the condvar unmarshal threads block on.
-pub(crate) struct ImportShard {
-    pub map: Mutex<HashMap<WireRep, ImportSlot>>,
-    /// Signals import-slot state changes to blocked unmarshal threads
-    /// waiting on slots in *this shard*.
-    pub cv: Condvar,
-}
-
-/// Client-side table state, sharded by `WireRep` hash.
+/// Client-side table state: every import slot behind one lock.
 pub(crate) struct ImportTable {
-    shards: Vec<ImportShard>,
+    pub map: Mutex<HashMap<WireRep, ImportSlot>>,
+    /// Signals import-slot state changes to blocked unmarshal threads.
+    pub cv: Condvar,
 }
 
 impl ImportTable {
     pub fn new() -> ImportTable {
         ImportTable {
-            shards: (0..IMPORT_SHARDS)
-                .map(|_| ImportShard {
-                    map: Mutex::new(HashMap::new()),
-                    cv: Condvar::new(),
-                })
-                .collect(),
+            map: Mutex::new(HashMap::new()),
+            cv: Condvar::new(),
         }
     }
 
-    /// The shard owning `rep`'s slot.
-    pub fn shard(&self, rep: &WireRep) -> &ImportShard {
-        let mut h = DefaultHasher::new();
-        rep.hash(&mut h);
-        &self.shards[(h.finish() as usize) % IMPORT_SHARDS]
-    }
-
-    /// All shards, for whole-table scans (lease renewal, gauges). Lock one
-    /// at a time; the view is per-shard consistent.
-    pub fn shards(&self) -> &[ImportShard] {
-        &self.shards
-    }
-
-    /// Total import slots across all shards (gauge).
+    /// Number of import slots (gauge).
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.map.lock().len()).sum()
+        self.map.lock().len()
     }
 }
 
@@ -830,7 +677,7 @@ mod tests {
         let pin = e.add_transient(ix).unwrap();
         assert!(!e.remove_transient(ix, pin));
         assert_eq!(e.len(), 1);
-        assert!(e.unpin(ix));
+        assert_eq!(e.unexport(&obj), Some((ix, true)));
         assert_eq!(e.len(), 0);
     }
 
@@ -1031,8 +878,8 @@ mod tests {
         // Unpinning the cleaned entries collects them and releases their
         // floors (2 of the 4 budget units), making room for the refused
         // dirty's floor+dirty pair.
-        assert!(e.unpin(ixs[0]));
-        assert!(e.unpin(ixs[1]));
+        assert_eq!(e.unexport(&objs[0]), Some((ixs[0], true)));
+        assert_eq!(e.unexport(&objs[1]), Some((ixs[1], true)));
         assert!(matches!(
             e.apply_dirty(ixs[3], client(1), 1, None, now, &budget),
             DirtyOutcome::Applied(_)
@@ -1109,7 +956,7 @@ mod tests {
     }
 
     #[test]
-    fn entries_spread_across_shards_and_scans_see_all() {
+    fn scans_see_every_entry() {
         let e = fresh();
         let objs: Vec<_> = (0..64).map(|_| dummy()).collect();
         let now = Instant::now();
@@ -1121,5 +968,57 @@ mod tests {
         assert_eq!(e.dirty_entry_count(), 64);
         assert_eq!(e.purge_client(client(7)), 64);
         assert_eq!(e.len(), 0);
+    }
+
+    #[test]
+    fn collect_never_races_a_re_pin() {
+        // Eight marshalers pin, look up and release one object while a
+        // client registers and cleans it: a release that collects the
+        // entry must never strand another thread's fresh pin, and every
+        // pin must find its entry.
+        use std::sync::atomic::{AtomicBool, Ordering};
+        use std::sync::Barrier;
+        let (e, obj) = (fresh(), dummy());
+        let stop = AtomicBool::new(false);
+        let start = Barrier::new(9);
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                start.wait();
+                let mut seqno = 0;
+                while !stop.load(Ordering::Relaxed) {
+                    let Some(ix) = e.lookup(&obj) else {
+                        std::thread::yield_now();
+                        continue;
+                    };
+                    seqno += 1;
+                    if let DirtyOutcome::Applied(_) =
+                        e.apply_dirty(ix, client(1), seqno, None, Instant::now(), &open())
+                    {
+                        seqno += 1;
+                        e.apply_clean(ix, client(1), seqno);
+                    }
+                }
+            });
+            let marshalers: Vec<_> = (0..8)
+                .map(|_| {
+                    s.spawn(|| {
+                        start.wait();
+                        for _ in 0..20_000 {
+                            let (ix, _, pin, _) = e.export_transient(&obj);
+                            assert!(e.get(ix).is_some(), "pinned entry {ix} missing");
+                            e.remove_transient(ix, pin);
+                        }
+                    })
+                })
+                .collect();
+            let joined: Vec<_> = marshalers.into_iter().map(|m| m.join()).collect();
+            stop.store(true, Ordering::Relaxed);
+            assert!(joined.iter().all(Result::is_ok), "a marshaler failed");
+        });
+        // Whichever of the last release and the last clean came second
+        // found the entry unprotected and collected it.
+        assert_eq!(e.len(), 0);
+        assert_eq!(e.lookup(&obj), None);
+        assert!(e.counts_match_scan());
     }
 }

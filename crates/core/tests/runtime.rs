@@ -808,3 +808,82 @@ fn concurrent_churn_under_jitter_reaches_fixpoint() {
         .sum();
     assert_eq!(total, 240);
 }
+
+#[test]
+fn a_hung_dirty_call_does_not_hold_up_other_imports() {
+    // The import table has one lock. A thread whose dirty call hangs on an
+    // owner that went silent must not hold it: meanwhile an import from a
+    // live owner completes at once, not after the hung call's timeout.
+    let net = SimNet::instant();
+    let local_registry = |space: &Space, name: &str| {
+        space.export(new_registry()).unwrap();
+        let root = space.import_root(&Endpoint::sim(name), ObjIx::FIRST_USER);
+        RegistryClient::narrow(root.unwrap()).unwrap()
+    };
+    let a = space_on(&net, "a", Options::fast());
+    let b = space_on(&net, "b", Options::fast());
+    let client = space_on(&net, "client", Options::fast());
+    let a_registry = local_registry(&a, "a");
+    a_registry
+        .put(
+            "c".into(),
+            CounterClient::narrow(a.local(new_counter())).unwrap(),
+        )
+        .unwrap();
+    // B holds a surrogate for A's counter, to pass on, and a counter of
+    // its own.
+    let b_registry = local_registry(&b, "b");
+    let a_at_b = RegistryClient::narrow(
+        b.import_root(&Endpoint::sim("a"), ObjIx::FIRST_USER)
+            .unwrap(),
+    )
+    .unwrap();
+    b_registry
+        .put(
+            "a".into(),
+            a_at_b.get("c".into()).unwrap().expect("present"),
+        )
+        .unwrap();
+    b_registry
+        .put(
+            "b".into(),
+            CounterClient::narrow(b.local(new_counter())).unwrap(),
+        )
+        .unwrap();
+    // The client connects to A while A is up, so that A going silent
+    // swallows the dirty call rather than refusing its connection.
+    let _a_root = client
+        .import_root(&Endpoint::sim("a"), ObjIx::FIRST_USER)
+        .unwrap();
+    let b_at_client = RegistryClient::narrow(
+        client
+            .import_root(&Endpoint::sim("b"), ObjIx::FIRST_USER)
+            .unwrap(),
+    )
+    .unwrap();
+    net.set_down("a", true);
+
+    let dirty_sent = client.stats().dirty_sent;
+    let hung = {
+        let b_at_client = b_at_client.clone();
+        std::thread::spawn(move || b_at_client.get("a".into()).map(|c| c.is_some()))
+    };
+    // Read from the space's counters, not the table, so that a wait on
+    // the import lock shows in the timed import below, not here.
+    wait_until("the dirty call to A is in flight", || {
+        client.stats().dirty_sent > dirty_sent
+    });
+    let t0 = Instant::now();
+    let counter = b_at_client.get("b".into()).unwrap().expect("present");
+    let took = t0.elapsed();
+    assert_eq!(counter.add(1).unwrap(), 1);
+    assert!(
+        took < Options::fast().dirty_timeout / 4,
+        "an import from B waited {took:?} behind a dirty call to A"
+    );
+    assert!(
+        !hung.is_finished(),
+        "the dirty call to A ended before the import from B was timed"
+    );
+    assert!(hung.join().unwrap().is_err(), "A was down");
+}

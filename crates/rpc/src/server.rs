@@ -4,7 +4,7 @@
 //! whatever the transport and whatever the clock. Readiness wakes it — a
 //! socket's through the poller, an in-process connection's through its
 //! waker — it decodes frames and feeds them to a per-connection *state
-//! machine* ([`ConnState`], its [`ConnDriver`]); fast methods
+//! machine* (`ConnState`, its [`ConnDriver`]); fast methods
 //! dispatch inline on the reactor thread, everything else goes to the
 //! shared [`FairPool`]. Replies — from workers or the inline path — go
 //! out through the connection's `send`; a socket queues them and the

@@ -210,8 +210,9 @@ impl SimNet {
 
     /// Creates a simulated network running on *virtual time*: frame
     /// delivery delays, and every runtime timer configured with the
-    /// returned clock, are measured on a [`VirtualClock`] that advances
-    /// via [`SimNet::advance`] or auto-advance-when-idle. Tests built on
+    /// returned clock, are measured on a
+    /// [`VirtualClock`](crate::VirtualClock) that advances via
+    /// [`SimNet::advance`] or auto-advance-when-idle. Tests built on
     /// this run their nominal seconds of timeouts in milliseconds, and
     /// deterministically.
     pub fn virtual_time(config: LinkConfig, seed: u64) -> Arc<SimNet> {

@@ -1,7 +1,8 @@
 //! Contention stress: many threads hammering one space's call path and
-//! object table at once. Exercises the sharded export/import tables, the
-//! per-connection reply encoder and the client demultiplexer under real
-//! parallelism, while the virtual clock keeps the schedule's *timers*
+//! object table at once. Exercises the object table's export and import
+//! locks, the per-connection reply encoder and the callers' turns as
+//! reader of a shared connection under real parallelism, while the
+//! virtual clock keeps the schedule's *timers*
 //! deterministic. Every reply must reach exactly the caller that issued
 //! its request (tagged payloads detect lost, duplicated or cross-wired
 //! replies), and the captured collector trace must replay conformantly.
@@ -23,7 +24,8 @@ use vt_util::{assert_conformant, assert_sim_time_under, space_on, wait_until};
 const THREADS: u64 = 16;
 const CALLS_PER_THREAD: u64 = 1_000;
 /// Every Nth call also marshals a fresh reference through the table, so
-/// the dirty/transient shards churn alongside the echo hot path.
+/// dirty sets and transient pins churn under the export lock alongside
+/// the echo hot path.
 const MINT_EVERY: u64 = 50;
 
 network_object! {
