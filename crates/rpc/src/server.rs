@@ -968,6 +968,64 @@ mod tests {
         });
     }
 
+    /// Sixteen calls in flight on one TCP connection, slow ones (served by
+    /// the pool) among fast ones (served inline, each long enough that
+    /// workers finish meanwhile): a worker's reply queued while the reactor
+    /// is inside that connection's visit goes out with the visit's flush,
+    /// and one queued after it wakes the reactor. Every reply arrives; the
+    /// last calls are all slow, so nothing but a wake-up can send them.
+    #[test]
+    fn pool_and_inline_replies_interleave_on_one_connection() {
+        const FAST: u32 = 1;
+        const SLOW: u32 = 2;
+        const CALLS: u64 = 600;
+        const DEPTH: u64 = 16;
+        let dispatcher: Arc<dyn Dispatcher> =
+            Arc::new(|_c: SpaceId, _t: WireRep, method: u32, args: &[u8]| {
+                let spin = std::time::Instant::now();
+                match method {
+                    FAST => while spin.elapsed() < Duration::from_micros(50) {},
+                    _ => std::thread::sleep(Duration::from_millis(1)),
+                }
+                Ok(args.to_vec())
+            });
+        let l = Tcp.listen(&Endpoint::tcp("127.0.0.1:0")).unwrap();
+        let server = RpcServer::start_with_config(l, dispatcher, workers(4));
+        let conn = Tcp.connect(&server.local_endpoint()).unwrap();
+        let caller = SpaceId::from_raw(1);
+        let send = |call_id: u64| {
+            let slow = call_id % 3 == 0 || call_id >= CALLS - DEPTH;
+            let rq = RpcMsg::Request(Request {
+                call_id,
+                caller,
+                target: target(0),
+                method: if slow { SLOW } else { FAST },
+                args: Bytes::copy_from_slice(&call_id.to_le_bytes()),
+                trace_id: 0,
+                span_id: 0,
+            });
+            conn.send(rq.encode()).unwrap();
+        };
+        for call_id in 0..DEPTH {
+            send(call_id);
+        }
+        let mut answered = std::collections::HashSet::new();
+        while (answered.len() as u64) < CALLS {
+            let frame = conn
+                .recv_timeout(Duration::from_secs(5))
+                .unwrap_or_else(|e| panic!("{} of {CALLS} replies, then {e:?}", answered.len()));
+            let RpcMsg::Reply(reply) = RpcMsg::decode(&frame).unwrap() else {
+                panic!("not a reply");
+            };
+            assert_eq!(reply.outcome.unwrap(), reply.call_id.to_le_bytes());
+            assert!(answered.insert(reply.call_id), "two replies to one call");
+            let next = answered.len() as u64 + DEPTH - 1;
+            if next < CALLS {
+                send(next);
+            }
+        }
+    }
+
     #[test]
     fn dropped_ack_token_releases_server_completion() {
         use std::sync::atomic::AtomicU64;

@@ -23,7 +23,7 @@ use parking_lot::Mutex;
 use crate::endpoint::Endpoint;
 use crate::error::TransportError;
 use crate::reactor::{
-    AcceptPoll, FlushReport, Pollable, PollableListener, ReactorWaker, ReadDrive,
+    AcceptPoll, FlushReport, Pollable, PollableListener, ReactorWaker, ReadDrive, ReadReport,
 };
 use crate::{Conn, Listener, Result};
 
@@ -217,6 +217,33 @@ impl ChanConn {
             }
         }
     }
+
+    /// One visit's worth of the inbox, pushed into `sink`.
+    fn drain_inbox(&self, sink: &mut dyn FnMut(Bytes)) -> Result<ReadDrive> {
+        let rx = self.inbox.rx.lock();
+        for _ in 0..MAX_FRAMES_PER_VISIT {
+            match rx.try_recv() {
+                Ok(frame) => sink(frame),
+                Err(TryRecvError::Empty) => {
+                    if !self.closed.is_closed() {
+                        return Ok(ReadDrive::Open);
+                    }
+                    // Closed — unless a frame sent just before the close
+                    // landed after the look above: queued frames drain
+                    // before the close is reported.
+                    match rx.try_recv() {
+                        Ok(frame) => sink(frame),
+                        Err(_) => return Ok(ReadDrive::Closed),
+                    }
+                }
+                Err(TryRecvError::Disconnected) => return Ok(ReadDrive::Closed),
+            }
+        }
+        // Cap reached with the inbox possibly still holding frames, and no
+        // fd whose rearm would report them: ask for another visit.
+        self.inbox.slot.wake();
+        Ok(ReadDrive::Open)
+    }
 }
 
 impl Conn for ChanConn {
@@ -266,30 +293,9 @@ impl Pollable for ChanConn {
         Ok(())
     }
 
-    fn drive_read(&self, sink: &mut dyn FnMut(Bytes)) -> Result<ReadDrive> {
-        let rx = self.inbox.rx.lock();
-        for _ in 0..MAX_FRAMES_PER_VISIT {
-            match rx.try_recv() {
-                Ok(frame) => sink(frame),
-                Err(TryRecvError::Empty) => {
-                    if !self.closed.is_closed() {
-                        return Ok(ReadDrive::Open);
-                    }
-                    // Closed — unless a frame sent just before the close
-                    // landed after the look above: queued frames drain
-                    // before the close is reported.
-                    match rx.try_recv() {
-                        Ok(frame) => sink(frame),
-                        Err(_) => return Ok(ReadDrive::Closed),
-                    }
-                }
-                Err(TryRecvError::Disconnected) => return Ok(ReadDrive::Closed),
-            }
-        }
-        // Cap reached with the inbox possibly still holding frames, and no
-        // fd whose rearm would report them: ask for another visit.
-        self.inbox.slot.wake();
-        Ok(ReadDrive::Open)
+    /// Takes no syscall: the frames are already in the inbox.
+    fn drive_read(&self, sink: &mut dyn FnMut(Bytes)) -> Result<ReadReport> {
+        self.drain_inbox(sink).map(ReadReport::without_syscalls)
     }
 
     /// Nothing to flush: `send` already put the frame in the peer's inbox.

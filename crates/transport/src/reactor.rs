@@ -45,12 +45,28 @@ use crate::{Conn, Listener, Result};
 /// What a [`Pollable::drive_read`] call observed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ReadDrive {
-    /// The connection is still open (the kernel buffer is drained, or the
-    /// per-visit fairness cap was reached).
+    /// The connection is still open (a read came up short or found
+    /// nothing, or the per-visit fairness cap was reached).
     Open,
     /// The peer closed (EOF) or the stream failed; deliver any decoded
     /// frames, then tear the connection down.
     Closed,
+}
+
+/// Outcome of one [`Pollable::drive_read`] visit.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ReadReport {
+    /// Whether the connection is still open.
+    pub drive: ReadDrive,
+    /// Receive syscalls issued.
+    pub syscalls: usize,
+}
+
+impl ReadReport {
+    /// A visit that issued no syscall.
+    pub fn without_syscalls(drive: ReadDrive) -> ReadReport {
+        ReadReport { drive, syscalls: 0 }
+    }
 }
 
 /// Outcome of one coalesced [`Pollable::drive_write`] flush.
@@ -72,6 +88,14 @@ pub struct FlushReport {
 /// [`ConnDriver`] instead of being handed out by `recv`, and a
 /// [`Conn::send`] the connection cannot complete at once is queued for
 /// [`Pollable::drive_write`].
+///
+/// **A visit.** The reactor calls `drive_read` and `drive_write` of one
+/// connection only from its own thread, and every `drive_read` is
+/// followed by a `drive_write` in the same visit, before the connection is
+/// re-armed or any other connection is visited. So a frame queued between
+/// the start of `drive_read` and the moment `drive_write` takes the queue
+/// (by the driver inline, or by any other thread) needs no
+/// [`ReactorWaker::wake_write`]: that `drive_write` flushes it.
 pub trait Pollable: Send + Sync {
     /// The OS readiness handle (a file descriptor on unix) the poller
     /// should watch, or `None` for a connection that announces its own
@@ -87,9 +111,10 @@ pub trait Pollable: Send + Sync {
     /// next read, which can then reuse the buffer of a frame `sink` did
     /// not keep. Framing errors are returned (the caller drops the
     /// connection — a desynchronised stream cannot recover).
-    fn drive_read(&self, sink: &mut dyn FnMut(Bytes)) -> Result<ReadDrive>;
+    fn drive_read(&self, sink: &mut dyn FnMut(Bytes)) -> Result<ReadReport>;
 
-    /// Flushes queued outbound frames with coalesced vectored writes.
+    /// Flushes queued outbound frames with coalesced vectored writes; it
+    /// ends the visit a `drive_read` began.
     fn drive_write(&self) -> Result<FlushReport>;
 }
 
@@ -176,6 +201,18 @@ pub struct ReactorSnapshot {
     /// Vectored-write syscalls those flushes issued (monotonic);
     /// `frames_flushed / flush_syscalls` is the coalescing ratio.
     pub flush_syscalls: u64,
+    /// Receive syscalls the connections' reads issued (monotonic).
+    pub recv_syscalls: u64,
+    /// `epoll_wait` calls of this reactor's poller (monotonic).
+    pub poll_waits: u64,
+    /// `epoll_ctl` calls of this reactor's poller: registrations,
+    /// re-arms and removals (monotonic).
+    pub poll_ctls: u64,
+    /// Writes to this reactor's eventfd notifier: software wake-ups that
+    /// had to interrupt a poll (monotonic).
+    pub notify_writes: u64,
+    /// Reads that drained the notifier (monotonic).
+    pub notify_reads: u64,
     /// Times the event loop woke up (readiness, notify, or tick).
     pub wakeups: u64,
     /// Connections accepted through reactor-registered listeners.
@@ -237,6 +274,7 @@ struct Shared {
     accepted: AtomicU64,
     frames_flushed: AtomicU64,
     flush_syscalls: AtomicU64,
+    recv_syscalls: AtomicU64,
     wakeups: AtomicU64,
     readiness_depth: AtomicUsize,
     readiness_high_water: AtomicUsize,
@@ -305,6 +343,7 @@ impl Reactor {
             accepted: AtomicU64::new(0),
             frames_flushed: AtomicU64::new(0),
             flush_syscalls: AtomicU64::new(0),
+            recv_syscalls: AtomicU64::new(0),
             wakeups: AtomicU64::new(0),
             readiness_depth: AtomicUsize::new(0),
             readiness_high_water: AtomicUsize::new(0),
@@ -360,12 +399,18 @@ impl Reactor {
     /// Current statistics (connection count, coalescing counters, …).
     pub fn stats(&self) -> ReactorSnapshot {
         let s = &self.shared;
+        let poll = s.poller.counts();
         ReactorSnapshot {
             connections: s.registered.load(Ordering::Relaxed) as u64,
             readiness_depth: s.readiness_depth.load(Ordering::Relaxed) as u64,
             readiness_high_water: s.readiness_high_water.load(Ordering::Relaxed) as u64,
             frames_flushed: s.frames_flushed.load(Ordering::Relaxed),
             flush_syscalls: s.flush_syscalls.load(Ordering::Relaxed),
+            recv_syscalls: s.recv_syscalls.load(Ordering::Relaxed),
+            poll_waits: poll.waits,
+            poll_ctls: poll.ctls,
+            notify_writes: poll.notify_writes,
+            notify_reads: poll.notify_reads,
             wakeups: s.wakeups.load(Ordering::Relaxed),
             accepted: s.accepted.load(Ordering::Relaxed),
         }
@@ -581,13 +626,18 @@ impl EventLoop {
     fn flush_scheduled(&mut self) {
         let pending = std::mem::take(&mut *self.shared.write_pending.lock());
         for &token in &pending {
-            self.flush_conn(token); // a token that raced a close is ignored
+            // A token that raced a close is ignored. One whose socket
+            // filled waits for writability; its read interest stays.
+            if self.flush_conn(token) {
+                self.rearm(token, Event::all(token));
+            }
         }
         self.shared.visited(pending.len());
     }
 
     /// Flushes one connection; closes it on write failure. Returns whether
-    /// outbound bytes remain queued.
+    /// outbound bytes remain queued: the caller's re-arm then asks for
+    /// writability too.
     fn flush_conn(&mut self, token: usize) -> bool {
         let Some(entry) = self.conns.get(&token) else {
             return false;
@@ -604,11 +654,6 @@ impl EventLoop {
                 self.shared
                     .flush_syscalls
                     .fetch_add(report.syscalls as u64, Ordering::Relaxed);
-                if report.pending {
-                    // Socket buffer full: let readiness re-arm below; the
-                    // writable interest is set by the caller's rearm.
-                    self.poll(pollable.poll_fd(), |p, fd| p.modify(fd, Event::all(token)));
-                }
                 report.pending
             }
             Err(_) => {
@@ -705,8 +750,13 @@ impl EventLoop {
                     }
                 });
             match read {
-                Ok(ReadDrive::Open) => {}
-                Ok(ReadDrive::Closed) | Err(_) => eof = true,
+                Ok(report) => {
+                    self.shared
+                        .recv_syscalls
+                        .fetch_add(report.syscalls as u64, Ordering::Relaxed);
+                    eof = report.drive == ReadDrive::Closed;
+                }
+                Err(_) => eof = true,
             }
             if close_requested {
                 // Push out any replies queued for frames handled before
@@ -720,25 +770,34 @@ impl EventLoop {
         if !self.conns.contains_key(&token) {
             return;
         }
-        // Phase 3: one coalesced flush for everything the driver queued
-        // while handling this batch (inline fast-path replies), plus any
-        // backlog a full socket buffer left behind (writable readiness).
-        let _ = writable; // flush happens unconditionally; cheap when idle
+        // Phase 3: one coalesced flush for everything queued while handling
+        // this batch (inline fast-path replies, and worker replies that
+        // skipped the wake-up because the visit was on), plus any backlog
+        // a full socket buffer left behind (writable readiness). It ends
+        // the visit, so it runs whether or not anything is queued.
+        let _ = writable;
         let write_pending = self.flush_conn(token);
         if eof {
             self.close_conn(token);
             return;
         }
-        if !self.conns.contains_key(&token) {
-            return; // flush_conn closed it
-        }
-        let entry = self.conns.get(&token).expect("conn exists");
-        let fd = entry.conn.as_pollable().expect("pollable").poll_fd();
+        // The visit's one re-arm.
         let interest = if write_pending {
             Event::all(token)
         } else {
             Event::readable(token)
         };
+        self.rearm(token, interest);
+    }
+
+    /// Re-arms a connection's oneshot registration with `interest`, and
+    /// closes it if that fails. A token that is gone (closed by a failed
+    /// flush) is ignored.
+    fn rearm(&mut self, token: usize, interest: Event) {
+        let Some(entry) = self.conns.get(&token) else {
+            return;
+        };
+        let fd = entry.conn.as_pollable().expect("pollable").poll_fd();
         if !self.poll(fd, |p, fd| p.modify(fd, interest)) {
             self.close_conn(token);
         }
@@ -804,7 +863,10 @@ mod tests {
     }
 
     fn echo_server() -> (Reactor, Endpoint, Arc<AtomicUsize>) {
-        let reactor = Reactor::start(Duration::from_millis(50), ClockHandle::system()).unwrap();
+        echo_server_on(Reactor::start(Duration::from_millis(50), ClockHandle::system()).unwrap())
+    }
+
+    fn echo_server_on(reactor: Reactor) -> (Reactor, Endpoint, Arc<AtomicUsize>) {
         let listener: Arc<dyn Listener> =
             Arc::from(Tcp.listen(&Endpoint::tcp("127.0.0.1:0")).unwrap());
         let ep = listener.local_endpoint();
@@ -883,6 +945,48 @@ mod tests {
         wait_until(|| reactor.stats().connections == 0);
         wait_until(|| closes.load(Ordering::SeqCst) == N);
         assert_eq!(reactor.stats().accepted, N as u64);
+    }
+
+    /// The reactor's counters once they stop moving (ticks aside).
+    fn settled(reactor: &Reactor) -> ReactorSnapshot {
+        let moving = |s: ReactorSnapshot| (s.recv_syscalls, s.poll_ctls, s.flush_syscalls);
+        loop {
+            let before = reactor.stats();
+            std::thread::sleep(Duration::from_millis(100));
+            let after = reactor.stats();
+            if moving(before) == moving(after) {
+                return after;
+            }
+        }
+    }
+
+    /// A visit whose flush leaves bytes queued (the peer stopped reading)
+    /// re-arms its connection once, for reading and writing: one
+    /// `epoll_ctl` per visit, as for any other visit.
+    #[test]
+    fn a_visit_that_leaves_bytes_queued_rearms_once() {
+        let (reactor, ep, _closes) = echo_server_on(tickless_reactor());
+        let client = Tcp.connect(&ep).unwrap();
+        // Echoes of 8 MiB the client never reads: more than the socket
+        // buffers of a peer that does not read can take.
+        for _ in 0..8 {
+            client.send(Bytes::from(vec![7u8; 1 << 20])).unwrap();
+        }
+        let before = settled(&reactor);
+        const N: u64 = 20;
+        // One visit per frame: with no tick to wake it, the loop is back in
+        // its poll only once the frame's visit is over.
+        for i in 1..=N {
+            client.send(numbered(i as u32)).unwrap();
+            wait_until(|| reactor.stats().poll_waits == before.poll_waits + i);
+        }
+        let after = reactor.stats();
+        assert!(after.frames_flushed < 8 + N, "nothing stayed queued");
+        assert_eq!(
+            after.poll_ctls - before.poll_ctls,
+            N,
+            "re-arms in {N} visits"
+        );
     }
 
     /// A reactor that only wake-ups move: its tick never comes, so a lost

@@ -12,10 +12,11 @@
 //!   `recv` waits on it, and `send` writes a whole frame synchronously.
 //! - **`ServedConn`**, read by the reactor: every connection that
 //!   `accept_nonblocking` takes. The socket is non-blocking from birth;
-//!   `send` enqueues the frame on an outbound queue and wakes the reactor,
-//!   which flushes many queued frames in one vectored write (`drive_write`)
-//!   and pushes inbound frames to the registered driver (`drive_read`).
-//!   Nothing else can `recv` from it.
+//!   `send` enqueues the frame on an outbound queue and wakes the reactor
+//!   (unless the reactor is visiting the connection, and so about to flush
+//!   anyway), which flushes many queued frames in one vectored write
+//!   (`drive_write`) and pushes inbound frames to the registered driver
+//!   (`drive_read`). Nothing else can `recv` from it.
 //!
 //! Either way a frame's bytes are copied by neither direction: a frame
 //! given as [`Segments`] is written by gathering its pieces where they lie,
@@ -36,7 +37,7 @@ use parking_lot::Mutex;
 use crate::endpoint::Endpoint;
 use crate::error::TransportError;
 use crate::reactor::{
-    AcceptPoll, FlushReport, Pollable, PollableListener, ReactorWaker, ReadDrive,
+    AcceptPoll, FlushReport, Pollable, PollableListener, ReactorWaker, ReadDrive, ReadReport,
 };
 use crate::{Conn, Listener, Result, Segments, Transport};
 
@@ -50,7 +51,7 @@ pub struct Tcp;
 const OUTBOUND_LIMIT: usize = 64 * 1024 * 1024;
 
 /// Bytes read from one connection per readiness visit, so one firehose
-/// peer cannot monopolise the reactor thread; the level-triggered rearm
+/// peer cannot monopolise the reactor thread; the level-evaluated rearm
 /// brings it back for the rest.
 const MAX_READ_PER_VISIT: usize = 128 * 1024;
 
@@ -135,6 +136,10 @@ struct Outbound {
     head_written: usize,
     /// Total unflushed bytes across the queue (prefixes included).
     bytes: usize,
+    /// Set from the start of the reactor's visit (`drive_read`) until its
+    /// `drive_write` takes the queue: a frame queued meanwhile needs no
+    /// wake-up, because that `drive_write` flushes it.
+    in_visit: bool,
 }
 
 impl Outbound {
@@ -217,32 +222,51 @@ fn recv_append(
     got
 }
 
-/// One reactor visit's reads: receives into `decoder` through `recv`
-/// until it would block, the stream ends or `MAX_READ_PER_VISIT` bytes
-/// have come in, handing each frame to `sink` as soon as it is complete.
+/// One reactor visit's reads: receives into `decoder` through `recv`,
+/// handing each frame to `sink` as soon as it is complete, until a receive
+/// comes up short (fewer bytes than it asked for: the socket was empty at
+/// that instant), would block, the stream ends, or `MAX_READ_PER_VISIT`
+/// bytes have come in. Bytes that arrive after a short read are not
+/// waited for: the level-evaluated oneshot rearm after the visit reports
+/// them, as it reports what a spent budget left behind. So a visit to a
+/// connection with one small frame waiting costs one `recv`, not a second
+/// one that finds nothing.
 fn read_visit(
     decoder: &mut FrameDecoder,
     mut recv: impl FnMut(&mut Vec<u8>, usize) -> io::Result<usize>,
     sink: &mut dyn FnMut(Bytes),
-) -> Result<ReadDrive> {
+) -> Result<ReadReport> {
     let mut budget = MAX_READ_PER_VISIT;
+    let mut syscalls = 0;
+    let report = |drive, syscalls| Ok(ReadReport { drive, syscalls });
     while budget > 0 {
-        match decoder.read_with(budget, &mut recv) {
-            Ok(0) => return Ok(ReadDrive::Closed),
+        let mut asked = 0;
+        let got = decoder.read_with(budget, |buf, max| {
+            syscalls += 1;
+            asked = max;
+            recv(buf, max)
+        });
+        match got {
+            Ok(0) => return report(ReadDrive::Closed, syscalls),
             Ok(n) => {
                 budget -= n;
                 while let Some(frame) = decoder.next_frame()? {
                     sink(frame);
                 }
+                if n < asked {
+                    return report(ReadDrive::Open, syscalls);
+                }
             }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(ReadDrive::Open),
+            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
+                return report(ReadDrive::Open, syscalls)
+            }
             Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(_) => return Ok(ReadDrive::Closed),
+            Err(_) => return report(ReadDrive::Closed, syscalls),
         }
     }
-    // Budget spent with the socket possibly still readable; the
-    // level-triggered rearm redelivers readiness immediately.
-    Ok(ReadDrive::Open)
+    // Budget spent with the socket possibly still readable; the rearm
+    // redelivers readiness immediately.
+    report(ReadDrive::Open, syscalls)
 }
 
 /// A connection its caller reads: every dialled one, and every one taken
@@ -379,10 +403,12 @@ impl Conn for ServedConn {
         self.send_segments(Segments::from(frame))
     }
 
-    /// Queues the frame and, on an empty→non-empty transition, wakes the
-    /// reactor to schedule a coalesced flush. (While the queue is non-empty
-    /// the reactor already has a flush pending or writable interest armed,
-    /// so no further wakes are needed.)
+    /// Queues the frame and, on an empty→non-empty transition outside the
+    /// reactor's visit to this connection, wakes the reactor to schedule a
+    /// coalesced flush. (While the queue is non-empty the reactor already
+    /// has a flush pending or writable interest armed, and during a visit
+    /// the visit's own `drive_write` is still to come, so neither needs a
+    /// wake-up.)
     fn send_segments(&self, frame: Segments) -> Result<()> {
         if self.closed.load(Ordering::Acquire) {
             return Err(TransportError::Closed);
@@ -395,10 +421,10 @@ impl Conn for ServedConn {
                 self.close();
                 return Err(TransportError::Closed);
             }
-            let was_empty = ob.queue.is_empty();
+            let wake = ob.queue.is_empty() && !ob.in_visit;
             ob.bytes += frame.len();
             ob.queue.push_back(frame);
-            was_empty
+            wake
         };
         if let (true, Some(w)) = (wake, self.waker.get()) {
             w.wake_write();
@@ -445,9 +471,12 @@ impl Pollable for ServedConn {
         Ok(())
     }
 
-    fn drive_read(&self, sink: &mut dyn FnMut(Bytes)) -> Result<ReadDrive> {
+    /// Starts a visit: until `drive_write`, senders need not wake the
+    /// reactor.
+    fn drive_read(&self, sink: &mut dyn FnMut(Bytes)) -> Result<ReadReport> {
+        self.outbound.lock().in_visit = true;
         if self.closed.load(Ordering::Acquire) {
-            return Ok(ReadDrive::Closed);
+            return Ok(ReadReport::without_syscalls(ReadDrive::Closed));
         }
         read_visit(
             &mut self.decoder.lock(),
@@ -456,8 +485,12 @@ impl Pollable for ServedConn {
         )
     }
 
+    /// Ends the visit: a frame queued after this lock is taken wakes the
+    /// reactor again.
     fn drive_write(&self) -> Result<FlushReport> {
-        self.outbound.lock().flush(&mut &self.stream)
+        let mut ob = self.outbound.lock();
+        ob.in_visit = false;
+        ob.flush(&mut &self.stream)
     }
 }
 
@@ -734,9 +767,41 @@ mod tests {
                 frames += 1;
             },
         );
-        assert_eq!(visit.unwrap(), ReadDrive::Open);
+        assert_eq!(visit.unwrap().drive, ReadDrive::Open);
         assert_eq!(received, MAX_READ_PER_VISIT);
         assert_eq!(frames, MAX_READ_PER_VISIT / unit.len());
+    }
+
+    /// A receive that brings fewer bytes than it asked for found the socket
+    /// empty, so the visit ends there: one `recv`, not a second that would
+    /// only find nothing.
+    #[test]
+    fn a_short_read_ends_the_visit() {
+        let frame = b"one small frame";
+        let wire = [&frame_prefix(frame.len()).unwrap()[..], frame].concat();
+        let mut decoder = FrameDecoder::default();
+        let mut calls = Vec::new();
+        let mut frames = Vec::new();
+        let visit = read_visit(
+            &mut decoder,
+            |buf, max| {
+                calls.push(max);
+                assert!(max > wire.len(), "asked for {max}");
+                buf.extend_from_slice(&wire);
+                Ok(wire.len())
+            },
+            &mut |f| frames.push(f),
+        )
+        .unwrap();
+        assert_eq!(
+            visit,
+            ReadReport {
+                drive: ReadDrive::Open,
+                syscalls: 1
+            }
+        );
+        assert_eq!(calls.len(), 1);
+        assert_eq!(frames, [Bytes::copy_from_slice(frame)]);
     }
 
     /// Over a real socket the reactor serves, a sender that outruns the
@@ -765,7 +830,7 @@ mod tests {
                     got += 1;
                 })
                 .unwrap();
-            assert_eq!(drive, ReadDrive::Open);
+            assert_eq!(drive.drive, ReadDrive::Open);
             assert!(bytes <= MAX_READ_PER_VISIT + 1004, "{bytes}");
             std::thread::sleep(Duration::from_millis(1));
         }
