@@ -55,11 +55,9 @@ impl IntrospectImpl {
     }
 }
 
-fn tail<T>(mut items: Vec<T>, limit: u64) -> Vec<T> {
-    if limit > 0 && (items.len() as u64) > limit {
-        items.drain(..items.len() - limit as usize);
-    }
-    items
+/// A wire `limit` as a ring tail length (a limit past `usize` is "all").
+fn clamp(limit: u64) -> usize {
+    usize::try_from(limit).unwrap_or(usize::MAX)
 }
 
 impl Introspect for IntrospectImpl {
@@ -78,11 +76,11 @@ impl Introspect for IntrospectImpl {
     }
 
     fn spans(&self, limit: u64) -> NetResult<Vec<SpanRecord>> {
-        Ok(tail(self.space()?.spans(), limit))
+        Ok(self.space()?.inner.spans.tail(clamp(limit)))
     }
 
     fn trace_tail(&self, limit: u64) -> NetResult<Vec<TraceEvent>> {
-        Ok(tail(self.space()?.trace_events(), limit))
+        Ok(self.space()?.inner.trace.tail(clamp(limit)))
     }
 }
 
@@ -101,4 +99,68 @@ pub(crate) fn install(space: &Space) -> NetResult<()> {
 pub fn connect(space: &Space, ep: &Endpoint) -> NetResult<IntrospectClient> {
     let handle = space.import_root(ep, ObjIx::INTROSPECT)?;
     IntrospectClient::narrow(handle)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use netobj_transport::loopback::Loopback;
+
+    /// Checks that `tail`, answered by a call made between the snapshots
+    /// `before` and `after` of the same ring, holds the ring's last
+    /// `limit` records (all of them for `0`) as they stood at the call.
+    fn check_tail<T: PartialEq + std::fmt::Debug>(
+        tail: &[T],
+        limit: usize,
+        before: &[T],
+        after: &[T],
+        seq: fn(&T) -> u64,
+    ) {
+        let (first, last) = (seq(&tail[0]), seq(tail.last().unwrap()));
+        assert!(
+            last >= seq(before.last().unwrap()),
+            "not the latest records"
+        );
+        let run = &after[first as usize..=last as usize];
+        assert_eq!(tail, run, "not the ring's records, in order");
+        if limit == 0 || limit > last as usize {
+            assert_eq!(first, 0, "limit {limit} left records out");
+        } else {
+            assert_eq!(tail.len(), limit);
+        }
+    }
+
+    #[test]
+    fn trace_tail_and_spans_return_the_last_limit_records() {
+        let net = Loopback::new();
+        let ep = Endpoint::loopback("introspected");
+        let server = Space::builder()
+            .transport(Arc::new(Arc::clone(&net)))
+            .listen(ep.clone())
+            .build()
+            .unwrap();
+        // Each client's import leaves a trace event (its dirty call), and
+        // each served call a span.
+        let clients: Vec<Space> = (0..4)
+            .map(|_| {
+                let client = Space::builder()
+                    .transport(Arc::new(Arc::clone(&net)))
+                    .build()
+                    .unwrap();
+                connect(&client, &ep).unwrap().stats().unwrap();
+                client
+            })
+            .collect();
+        assert!(server.spans().len() > 3 && server.trace_events().len() > 3);
+        let intro = connect(&clients[0], &ep).unwrap();
+        for limit in [0, 1, 3, 1_000] {
+            let before = server.spans();
+            let tail = intro.spans(limit as u64).unwrap();
+            check_tail(&tail, limit, &before, &server.spans(), |s| s.seq);
+
+            let before = server.trace_events();
+            let tail = intro.trace_tail(limit as u64).unwrap();
+            check_tail(&tail, limit, &before, &server.trace_events(), |e| e.seq);
+        }
+    }
 }

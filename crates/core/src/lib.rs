@@ -86,6 +86,7 @@ pub mod marshal;
 pub mod metrics;
 pub mod obj;
 pub mod options;
+mod ring;
 pub mod space;
 pub mod span;
 pub mod stats;
@@ -101,9 +102,7 @@ pub use metrics::{ClientQuotaGauges, Gauges, Histogram, HistogramSnapshot, Metri
 pub use obj::{MarshaledResult, NetObject};
 pub use options::Options;
 pub use space::{Space, SpaceBuilder};
-pub use span::SpanRing;
 pub use stats::{Stats, StatsSnapshot};
-pub use trace::TraceRing;
 
 // Resilience knobs for [`Options::retry`] / [`Options::breaker`].
 pub use netobj_rpc::{BreakerConfig, ResourceBudget, RetryPolicy};

@@ -31,10 +31,11 @@ use crate::marshal::UnmarshalCx;
 use crate::metrics::{ClientQuotaGauges, Gauges, Histogram, Metrics, GC_KINDS};
 use crate::obj::NetObject;
 use crate::options::Options;
-use crate::span::{self, IdAlloc, SpanRing, TraceScope, DEFAULT_SPAN_CAPACITY};
+use crate::ring::Ring;
+use crate::span::{self, IdAlloc, TraceScope, DEFAULT_SPAN_CAPACITY};
 use crate::stats::{Stats, StatsSnapshot};
 use crate::table::ObjectTable;
-use crate::trace::{TraceRing, DEFAULT_TRACE_CAPACITY};
+use crate::trace::DEFAULT_TRACE_CAPACITY;
 
 pub(crate) struct SpaceInner {
     pub(crate) id: SpaceId,
@@ -62,8 +63,8 @@ pub(crate) struct SpaceInner {
     pub(crate) demon: Mutex<Option<std::thread::JoinHandle<()>>>,
     pub(crate) pinger: Mutex<Option<std::thread::JoinHandle<()>>>,
     pub(crate) stopped: AtomicBool,
-    pub(crate) trace: Arc<TraceRing>,
-    pub(crate) spans: Arc<SpanRing>,
+    pub(crate) trace: Ring<TraceEvent>,
+    pub(crate) spans: Ring<SpanRecord>,
     pub(crate) ids: IdAlloc,
     /// Per-label application-call latency histograms. Read-mostly: after
     /// warm-up every call label exists, so the hot path takes the read
@@ -126,8 +127,8 @@ impl SpaceBuilder {
 
     /// Creates the space, starting its server (if listening) and demons.
     pub fn build(self) -> NetResult<Space> {
-        let trace = TraceRing::new(self.options.clock.clone(), DEFAULT_TRACE_CAPACITY);
-        let spans = SpanRing::new(self.options.clock.clone(), DEFAULT_SPAN_CAPACITY);
+        let trace = Ring::new(self.options.clock.clone(), DEFAULT_TRACE_CAPACITY);
+        let spans = Ring::new(self.options.clock.clone(), DEFAULT_SPAN_CAPACITY);
         let id = SpaceId::fresh();
         let inner = Arc::new(SpaceInner {
             id,
@@ -218,19 +219,9 @@ impl Space {
         snap
     }
 
-    /// The space's trace ring (the collector's flight recorder).
-    pub fn trace_ring(&self) -> &Arc<TraceRing> {
-        &self.inner.trace
-    }
-
     /// A snapshot of the surviving trace events, in emission order.
     pub fn trace_events(&self) -> Vec<TraceEvent> {
         self.inner.trace.snapshot()
-    }
-
-    /// The space's span ring (the application-call flight recorder).
-    pub fn span_ring(&self) -> &Arc<SpanRing> {
-        &self.inner.spans
     }
 
     /// A snapshot of the surviving call spans, in emission order.
@@ -344,7 +335,12 @@ impl Space {
 
     /// Records one collector trace event.
     pub(crate) fn emit(&self, kind: TraceKind) {
-        self.inner.trace.record(kind);
+        let ring = &self.inner.trace;
+        ring.record(TraceEvent {
+            seq: 0,
+            at_micros: ring.now_micros(),
+            kind,
+        });
     }
 
     /// Number of concrete objects currently held in the object table,

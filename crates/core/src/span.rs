@@ -2,9 +2,8 @@
 //!
 //! Companion to [`crate::trace`]: where the trace ring records *collector*
 //! actions for the conformance oracle, the span ring records *application
-//! calls* for observability. The ring mechanics are identical — slot
-//! reservation with one atomic `fetch_add`, per-slot mutexes, dense
-//! sequence numbers, overwrite-oldest — only the record type differs.
+//! calls* for observability. Both are the crate's one `Ring`; only the
+//! record type differs.
 //!
 //! This module also owns the two pieces of trace plumbing that are not
 //! tied to a ring:
@@ -22,94 +21,17 @@
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
-use std::time::Instant;
 
-use netobj_transport::ClockHandle;
 use netobj_wire::{SpaceId, SpanRecord};
-use parking_lot::Mutex;
 
-/// Default span-ring capacity (records) per space.
+use crate::ring::Sequenced;
+
+/// Span-ring capacity (records) per space.
 pub const DEFAULT_SPAN_CAPACITY: usize = 1 << 12;
 
-/// A bounded, overwrite-oldest ring of call spans.
-pub struct SpanRing {
-    clock: ClockHandle,
-    epoch: Instant,
-    head: AtomicU64,
-    mask: u64,
-    slots: Box<[Mutex<Option<SpanRecord>>]>,
-}
-
-impl SpanRing {
-    /// Creates a ring of (at least) `capacity` slots, stamping span times
-    /// from `clock`. Capacity is rounded up to a power of two.
-    pub fn new(clock: ClockHandle, capacity: usize) -> Arc<SpanRing> {
-        let cap = capacity.max(2).next_power_of_two();
-        let slots: Vec<Mutex<Option<SpanRecord>>> = (0..cap).map(|_| Mutex::new(None)).collect();
-        Arc::new(SpanRing {
-            epoch: clock.now(),
-            clock,
-            head: AtomicU64::new(0),
-            mask: cap as u64 - 1,
-            slots: slots.into_boxed_slice(),
-        })
-    }
-
-    /// Microseconds since this ring's epoch, on the ring's clock — the
-    /// time base for [`SpanRecord::start_micros`].
-    pub fn now_micros(&self) -> u64 {
-        self.micros_at(self.clock.now())
-    }
-
-    /// Converts an already-read clock instant to this ring's time base —
-    /// lets hot paths that timed the call anyway avoid a second clock read.
-    pub fn micros_at(&self, t: Instant) -> u64 {
-        t.saturating_duration_since(self.epoch).as_micros() as u64
-    }
-
-    /// Records one span, stamping its sequence number.
-    pub fn record(&self, mut span: SpanRecord) {
-        let seq = self.head.fetch_add(1, Ordering::Relaxed);
-        span.seq = seq;
-        *self.slots[(seq & self.mask) as usize].lock() = Some(span);
-    }
-
-    /// Total spans ever recorded (including overwritten ones).
-    pub fn recorded(&self) -> u64 {
-        self.head.load(Ordering::Relaxed)
-    }
-
-    /// Spans lost to ring overwrite so far.
-    pub fn dropped(&self) -> u64 {
-        self.recorded().saturating_sub(self.slots.len() as u64)
-    }
-
-    /// A consistent snapshot of the surviving spans, in emission order.
-    /// Slots a concurrent writer is lapping are skipped.
-    pub fn snapshot(&self) -> Vec<SpanRecord> {
-        let head = self.head.load(Ordering::Relaxed);
-        let cap = self.slots.len() as u64;
-        let start = head.saturating_sub(cap);
-        let mut out = Vec::with_capacity((head - start) as usize);
-        for seq in start..head {
-            let slot = self.slots[(seq & self.mask) as usize].lock();
-            if let Some(sp) = slot.as_ref() {
-                if sp.seq == seq {
-                    out.push(sp.clone());
-                }
-            }
-        }
-        out
-    }
-}
-
-impl std::fmt::Debug for SpanRing {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SpanRing")
-            .field("recorded", &self.recorded())
-            .field("capacity", &self.slots.len())
-            .finish()
+impl Sequenced for SpanRecord {
+    fn set_seq(&mut self, seq: u64) {
+        self.seq = seq;
     }
 }
 
@@ -183,11 +105,13 @@ impl Drop for ScopeGuard {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ring::Ring;
+    use netobj_transport::ClockHandle;
     use netobj_wire::{ObjIx, SpanKind, SpanOutcome, WireRep};
 
     fn span(trace: u64, id: u64) -> SpanRecord {
         SpanRecord {
-            seq: 0,
+            seq: u64::MAX,
             trace_id: trace,
             span_id: id,
             parent_span: 0,
@@ -211,7 +135,7 @@ mod tests {
 
     #[test]
     fn ring_records_and_wraps() {
-        let ring = SpanRing::new(ClockHandle::system(), 4);
+        let ring: Ring<SpanRecord> = Ring::new(ClockHandle::system(), 4);
         for i in 0..10 {
             ring.record(span(7, i));
         }

@@ -1,140 +1,51 @@
 //! The per-space trace ring: the collector's flight recorder.
 //!
-//! Every [`Space`](crate::Space) owns one bounded ring of
-//! [`TraceEvent`]s. Emission is designed to be safe from any thread with
-//! no shared lock: a writer reserves a slot with one atomic `fetch_add`
-//! and then fills it under that slot's own (uncontended) mutex, so
-//! concurrent emitters never serialise against each other unless the ring
-//! wraps a full lap onto the same slot. When the ring overflows, the
-//! oldest events are overwritten — the sequence numbers stay dense, so a
-//! reader can tell exactly how much history was lost.
+//! Every [`Space`](crate::Space) records each collector action as a
+//! [`TraceEvent`] in one bounded ring (the crate's `Ring`, shared with
+//! the span ring): sequence numbers are dense, and a full ring drops its
+//! oldest event, so a reader can tell exactly how much history was lost.
+//! Memory follows content: the ring's storage is reserved, not filled, up
+//! front.
 //!
 //! The ring is the seam between the live collector and the conformance
-//! oracle: tests drain it with [`TraceRing::snapshot`], merge the rings of
-//! every space in the scenario, and replay the merged trace into the
-//! formal model (`netobj_dgc_model::replay`).
+//! oracle: tests drain it with [`Space::trace_events`](crate::Space::trace_events),
+//! merge the rings of every space in the scenario, and replay the merged
+//! trace into the formal model (`netobj_dgc_model::replay`).
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
-use std::time::Instant;
+use netobj_wire::TraceEvent;
 
-use netobj_transport::ClockHandle;
-use netobj_wire::{TraceEvent, TraceKind};
-use parking_lot::Mutex;
+use crate::ring::Sequenced;
 
-/// Default ring capacity (events) per space.
+/// Ring capacity (events) per space.
 pub const DEFAULT_TRACE_CAPACITY: usize = 1 << 15;
 
-/// A bounded, overwrite-oldest ring of trace events.
-pub struct TraceRing {
-    clock: ClockHandle,
-    epoch: Instant,
-    head: AtomicU64,
-    mask: u64,
-    slots: Box<[Mutex<Option<TraceEvent>>]>,
-}
-
-impl TraceRing {
-    /// Creates a ring of (at least) `capacity` slots, stamping event
-    /// times from `clock`. Capacity is rounded up to a power of two.
-    pub fn new(clock: ClockHandle, capacity: usize) -> Arc<TraceRing> {
-        let cap = capacity.max(2).next_power_of_two();
-        let slots: Vec<Mutex<Option<TraceEvent>>> = (0..cap).map(|_| Mutex::new(None)).collect();
-        Arc::new(TraceRing {
-            epoch: clock.now(),
-            clock,
-            head: AtomicU64::new(0),
-            mask: cap as u64 - 1,
-            slots: slots.into_boxed_slice(),
-        })
-    }
-
-    /// Records one event, stamping its sequence number and time.
-    pub fn record(&self, kind: TraceKind) {
-        let seq = self.head.fetch_add(1, Ordering::Relaxed);
-        let at_micros = self
-            .clock
-            .now()
-            .saturating_duration_since(self.epoch)
-            .as_micros() as u64;
-        let ev = TraceEvent {
-            seq,
-            at_micros,
-            kind,
-        };
-        *self.slots[(seq & self.mask) as usize].lock() = Some(ev);
-    }
-
-    /// Total events ever recorded (including overwritten ones).
-    pub fn recorded(&self) -> u64 {
-        self.head.load(Ordering::Relaxed)
-    }
-
-    /// Events lost to ring overwrite so far.
-    pub fn dropped(&self) -> u64 {
-        self.recorded().saturating_sub(self.slots.len() as u64)
-    }
-
-    /// A consistent snapshot of the surviving events, in emission order.
-    ///
-    /// Slots that a concurrent writer is lapping are skipped (the stored
-    /// sequence number no longer matches the slot's expected position).
-    pub fn snapshot(&self) -> Vec<TraceEvent> {
-        let head = self.head.load(Ordering::Relaxed);
-        let cap = self.slots.len() as u64;
-        let start = head.saturating_sub(cap);
-        let mut out = Vec::with_capacity((head - start) as usize);
-        for seq in start..head {
-            let slot = self.slots[(seq & self.mask) as usize].lock();
-            if let Some(ev) = slot.as_ref() {
-                if ev.seq == seq {
-                    out.push(ev.clone());
-                }
-            }
-        }
-        out
-    }
-}
-
-impl std::fmt::Debug for TraceRing {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("TraceRing")
-            .field("recorded", &self.recorded())
-            .field("capacity", &self.slots.len())
-            .finish()
+impl Sequenced for TraceEvent {
+    fn set_seq(&mut self, seq: u64) {
+        self.seq = seq;
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use netobj_wire::SpaceId;
+    use crate::ring::Ring;
+    use netobj_transport::ClockHandle;
+    use netobj_wire::{SpaceId, TraceKind};
 
-    fn ping(n: u128) -> TraceKind {
-        TraceKind::PingSent {
-            owner: SpaceId::from_raw(n),
-            client: SpaceId::from_raw(n + 1),
+    fn ping(n: u128) -> TraceEvent {
+        TraceEvent {
+            seq: u64::MAX,
+            at_micros: 0,
+            kind: TraceKind::PingSent {
+                owner: SpaceId::from_raw(n),
+                client: SpaceId::from_raw(n + 1),
+            },
         }
-    }
-
-    #[test]
-    fn records_in_order() {
-        let ring = TraceRing::new(ClockHandle::system(), 8);
-        for i in 0..5 {
-            ring.record(ping(i));
-        }
-        let evs = ring.snapshot();
-        assert_eq!(evs.len(), 5);
-        assert_eq!(
-            evs.iter().map(|e| e.seq).collect::<Vec<_>>(),
-            vec![0, 1, 2, 3, 4]
-        );
-        assert_eq!(ring.dropped(), 0);
     }
 
     #[test]
     fn overwrites_oldest_on_wrap() {
-        let ring = TraceRing::new(ClockHandle::system(), 4);
+        let ring: Ring<TraceEvent> = Ring::new(ClockHandle::system(), 4);
         for i in 0..10 {
             ring.record(ping(i));
         }
@@ -142,27 +53,5 @@ mod tests {
         assert_eq!(evs.first().unwrap().seq, 6);
         assert_eq!(evs.last().unwrap().seq, 9);
         assert_eq!(ring.dropped(), 6);
-    }
-
-    #[test]
-    fn concurrent_writers_keep_dense_seqs() {
-        let ring = TraceRing::new(ClockHandle::system(), 1 << 12);
-        let mut joins = Vec::new();
-        for t in 0..4u128 {
-            let ring = Arc::clone(&ring);
-            joins.push(std::thread::spawn(move || {
-                for i in 0..500 {
-                    ring.record(ping(t * 1000 + i));
-                }
-            }));
-        }
-        for j in joins {
-            j.join().unwrap();
-        }
-        let evs = ring.snapshot();
-        assert_eq!(evs.len(), 2000);
-        for (i, ev) in evs.iter().enumerate() {
-            assert_eq!(ev.seq, i as u64);
-        }
     }
 }

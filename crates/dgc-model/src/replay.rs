@@ -2,7 +2,7 @@
 //! onto the formal model.
 //!
 //! The runtime records every collector-relevant action as a
-//! [`TraceEvent`] in its space's trace ring (`netobj::TraceRing`). This
+//! [`TraceEvent`] in its space's trace ring (`netobj::Space::trace_events`). This
 //! module merges the rings of every space in a scenario and *folds* the
 //! observed events back onto the abstract machine of [`crate::rules`],
 //! firing only transitions whose guards hold, and running the full

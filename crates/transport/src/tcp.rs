@@ -159,10 +159,11 @@ impl Outbound {
                 let used = gather(frames, self.head_written, &mut iov);
                 w.write_vectored(&iov[..used])
             };
+            // Counted whatever it returns: `EAGAIN` and `EINTR` included.
+            report.syscalls += 1;
             match wrote {
                 Ok(0) => return Err(TransportError::Closed),
                 Ok(n) => {
-                    report.syscalls += 1;
                     self.bytes -= n;
                     // Advance the head cursor and retire fully-sent frames.
                     let mut progressed = self.head_written + n;
